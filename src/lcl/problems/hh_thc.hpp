@@ -8,7 +8,6 @@
 // D-VOL = Θ̃(n).
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "labels/hierarchy.hpp"
@@ -34,8 +33,8 @@ class HHTHCProblem {
  private:
   int k_;
   int l_;
-  std::shared_ptr<Hierarchy> hier_side_;    // RC-chain levels, cap l+1 (b = 0)
-  std::shared_ptr<Hierarchy> hybrid_side_;  // input levels, cap k+1 (b = 1)
+  Hierarchy hier_side_;    // RC-chain levels, cap l+1 (b = 0)
+  Hierarchy hybrid_side_;  // input levels, cap k+1 (b = 1)
 };
 
 }  // namespace volcal

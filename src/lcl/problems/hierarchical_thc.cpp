@@ -2,80 +2,12 @@
 
 namespace volcal {
 
-namespace {
-
-bool is_color(ThcColor c) { return c == ThcColor::R || c == ThcColor::B; }
-bool in_rbx(ThcColor c) { return is_color(c) || c == ThcColor::X; }
-bool in_rbd(ThcColor c) { return is_color(c) || c == ThcColor::D; }
-
-}  // namespace
-
-bool thc_conditions_hold(const Hierarchy& h, const std::vector<Color>& chi_in,
-                         const std::vector<ThcColor>& out, NodeIndex v,
-                         const ThcValidityOptions& opt,
-                         const std::vector<std::uint8_t>* down_certified_override) {
-  const int k = opt.k;
-  const int level = h.level(v);
-
-  // Condition 1: nodes above the hierarchy are exempt.
-  if (level > k) return out[v] == ThcColor::X;
-
-  const bool leaf = h.is_level_leaf(v);
-  const NodeIndex next = h.backbone_next(v);
-  const NodeIndex down = h.down(v);
-
-  // "The component below v certifies itself": for plain THC the RC-child must
-  // output R/B/X (conditions 4(b)/5(a)); Hybrid-THC overrides the level-2
-  // rule with a BalancedTree-specific certificate supplied by the caller.
-  auto down_certifies = [&]() {
-    if (down_certified_override != nullptr && level == 2 && opt.hybrid_level2) {
-      return (*down_certified_override)[v] != 0;
-    }
-    return down != kNoNode && in_rbx(out[down]);
-  };
-
-  // Condition 2: level-ℓ leaves may echo, decline, or go exempt.
-  if (leaf) {
-    if (out[v] != to_thc(chi_in[v]) && out[v] != ThcColor::D && out[v] != ThcColor::X) {
-      return false;
-    }
-  }
-
-  if (level == 1) {
-    // Condition 3.
-    if (!in_rbd(out[v])) return false;                       // 3(a)
-    if (!leaf && out[v] != out[next]) return false;          // 3(b)
-    return true;
-  }
-
-  // Def. 6.1 routes level 2 to condition 4 (with the modified exemption) even
-  // when k = 2; plain Hierarchical-THC uses condition 4 strictly below k.
-  if (level < k || (opt.hybrid_level2 && level == 2)) {
-    // Condition 4 (only constrains non-leaves; leaves were handled by 2).
-    if (leaf) return true;
-    const bool case_a = out[v] == out[next] && in_rbd(out[v]);
-    const bool case_b = out[v] == ThcColor::X && down_certifies();
-    const bool case_c =
-        (out[v] == to_thc(chi_in[v]) || out[v] == ThcColor::D) && out[next] == ThcColor::X;
-    return case_a || case_b || case_c;
-  }
-
-  // level == k: condition 5.
-  if (!in_rbx(out[v])) return false;
-  if (out[v] == ThcColor::X && !down_certifies()) return false;  // 5(a)
-  if (!leaf && out[v] != ThcColor::X) {
-    const bool via_child = out[next] != ThcColor::X && out[v] == out[next];
-    const bool after_exempt = out[next] == ThcColor::X && out[v] == to_thc(chi_in[v]);
-    if (!via_child && !after_exempt) return false;  // 5(b)
-  }
-  return true;
-}
-
 bool HierarchicalTHCProblem::valid_at(const InstanceType& inst, const Output& out,
                                       NodeIndex v) const {
   ThcValidityOptions opt;
   opt.k = k_;
-  return thc_conditions_hold(*hierarchy_, inst.labels.color, out, v, opt);
+  return thc_conditions_hold(
+      hierarchy_, inst.labels.color, [&out](NodeIndex u) { return out[u]; }, v, opt);
 }
 
 }  // namespace volcal

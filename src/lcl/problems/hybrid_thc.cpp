@@ -8,10 +8,8 @@ namespace {
 // Hybrid instance, reading child outputs through the HybridOutput wrapper.
 // Children that declined (non-bt outputs) fail the bt branch — Def. 6.1 then
 // requires the whole component to decline unanimously.
-bool bt_valid_here(const HybridInstance& inst, const std::vector<HybridOutput>& out,
-                   NodeIndex v) {
-  const Graph& g = inst.graph;
-  const BalancedTreeLabeling& l = inst.labels.bal;
+bool bt_valid_here(const Graph& g, const BalancedTreeLabeling& l,
+                   const std::vector<HybridOutput>& out, NodeIndex v) {
   if (!is_consistent(g, l.tree, v)) return true;
   if (!out[v].is_bt) return false;
   const BtOutput& o = out[v].bt;
@@ -37,20 +35,14 @@ bool bt_valid_here(const HybridInstance& inst, const std::vector<HybridOutput>& 
 
 }  // namespace
 
-HybridTHCProblem::HybridTHCProblem(const InstanceType& inst, int k)
-    : k_(k),
-      hierarchy_(std::make_shared<Hierarchy>(inst.graph, inst.labels.bal.tree, k + 1,
-                                             inst.labels.level_in)) {}
-
-bool HybridTHCProblem::valid_at(const InstanceType& inst, const Output& out,
-                                NodeIndex v) const {
-  const Hierarchy& h = *hierarchy_;
+bool hybrid_valid_at(const Hierarchy& h, const Graph& g, const HybridLabeling& l,
+                     const std::vector<HybridOutput>& out, NodeIndex v, int k) {
   const int level = h.level(v);
 
   if (level == 1) {
     // Option A: BalancedTree-valid at v.  Option B: v and all its level-1
     // G_T neighbors declined.
-    if (bt_valid_here(inst, out, v)) return true;
+    if (bt_valid_here(g, l.bal, out, v)) return true;
     if (out[v].is_bt || out[v].thc != ThcColor::D) return false;
     for (const NodeIndex nb : {h.up(v), h.lc(v), h.rc(v)}) {
       if (nb == kNoNode || h.level(nb) != 1) continue;
@@ -61,21 +53,26 @@ bool HybridTHCProblem::valid_at(const InstanceType& inst, const Output& out,
 
   // Levels >= 2 (and exempt > k) speak the THC symbol alphabet.
   if (out[v].is_bt) return false;
-  std::vector<ThcColor> thc(out.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    thc[i] = out[i].is_bt ? ThcColor::D : out[i].thc;
-  }
+  ThcValidityOptions opt;
+  opt.k = k;
+  opt.hybrid_level2 = true;
   // Level-2 exemption certificate: the BalancedTree component below solved
   // (its root produced a bt output) — Def. 6.1's replacement of 4(b)/5(a).
-  std::vector<std::uint8_t> certified(out.size(), 0);
   if (level == 2) {
     const NodeIndex d = h.down(v);
-    certified[v] = (d != kNoNode && out[d].is_bt) ? 1 : 0;
+    opt.level2_certified = d != kNoNode && out[d].is_bt;
   }
-  ThcValidityOptions opt;
-  opt.k = k_;
-  opt.hybrid_level2 = true;
-  return thc_conditions_hold(h, inst.labels.color, thc, v, opt, &certified);
+  return thc_conditions_hold(
+      h, l.color, [&out](NodeIndex u) { return thc_symbol(out[u]); }, v, opt);
+}
+
+HybridTHCProblem::HybridTHCProblem(const InstanceType& inst, int k)
+    : k_(k),
+      hierarchy_(inst.graph, inst.labels.bal.tree, k + 1, inst.labels.level_in) {}
+
+bool HybridTHCProblem::valid_at(const InstanceType& inst, const Output& out,
+                                NodeIndex v) const {
+  return hybrid_valid_at(hierarchy_, inst.graph, inst.labels, out, v, k_);
 }
 
 }  // namespace volcal

@@ -13,7 +13,6 @@
 // Θ̃(n) deterministic (BalancedTree is volume-hard).
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "labels/hierarchy.hpp"
@@ -37,6 +36,16 @@ struct HybridOutput {
   static HybridOutput symbol(ThcColor c) { return {false, {}, c}; }
 };
 
+// The output as the THC conditions read it: BalancedTree outputs count as D.
+inline ThcColor thc_symbol(const HybridOutput& o) { return o.is_bt ? ThcColor::D : o.thc; }
+
+// Validity of Hybrid-THC(k) (Def. 6.1) at v, with levels from `h` (built
+// over `l`'s tree claims and input levels).  Shared by Hybrid-THC and the
+// b = 1 side of HH-THC, whose labelings differ only in where `l` lives.
+// O(1) per node: reads outputs at v's G_T neighbors and tree children only.
+bool hybrid_valid_at(const Hierarchy& h, const Graph& g, const HybridLabeling& l,
+                     const std::vector<HybridOutput>& out, NodeIndex v, int k);
+
 class HybridTHCProblem {
  public:
   using InstanceType = HybridInstance;
@@ -45,7 +54,7 @@ class HybridTHCProblem {
   HybridTHCProblem(const InstanceType& inst, int k);
 
   int k() const { return k_; }
-  const Hierarchy& hierarchy() const { return *hierarchy_; }
+  const Hierarchy& hierarchy() const { return hierarchy_; }
 
   int radius() const { return 2 * (k_ + 2); }
 
@@ -53,7 +62,7 @@ class HybridTHCProblem {
 
  private:
   int k_;
-  std::shared_ptr<Hierarchy> hierarchy_;  // levels from input labels
+  Hierarchy hierarchy_;  // levels from input labels
 };
 
 }  // namespace volcal

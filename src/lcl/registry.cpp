@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <span>
+#include <type_traits>
 #include <utility>
 
 // This file *is* part of the io consolidation surface (it wires the text and
@@ -182,34 +183,34 @@ MutationBatch propose_batch(const Instance<Labels>& inst, std::uint64_t seed,
 
 // --- erasure plumbing -------------------------------------------------------
 
-// Owns the instance and the problem built over it.  The problem is
-// constructed *after* the instance has landed at its final address (several
-// problem constructors snapshot a Hierarchy over the instance's graph).
-// `keep` is an opaque retainer destroyed *after* the instance — snapshot
-// loads park the file mapping here, so adopted CSR views stay valid for the
-// instance's whole lifetime.
-template <typename Labels, typename Problem>
+// Owns the instance and nothing else: the family's Problem (and any
+// Hierarchy it analyses the instance with) is built per verify() call and
+// dropped with it, since no solver reads it.  `keep` is an opaque retainer
+// destroyed *after* the instance — snapshot loads park the file mapping
+// here, so adopted CSR views stay valid for the instance's whole lifetime.
+template <typename Labels>
 struct Held {
   std::shared_ptr<const void> keep;  // declared first => destroyed last
   Instance<Labels> inst;
-  Problem problem;
 
-  template <typename MakeProblem>
-  Held(Instance<Labels>&& i, MakeProblem make_problem,
-       std::shared_ptr<const void> keep_alive = nullptr)
-      : keep(std::move(keep_alive)), inst(std::move(i)), problem(make_problem(inst)) {}
+  Held(Instance<Labels>&& i, std::shared_ptr<const void> keep_alive)
+      : keep(std::move(keep_alive)), inst(std::move(i)) {}
 };
 
-// Builds the Impl from a held instance+problem, a generic solver functor
-// (callable on an InstanceSource over either execution type, returning the
-// problem's per-node output value), and an encode/decode pair.  This is the
-// single wiring point shared by the generator path (registry entries) and
-// the deserialization paths (erase_instance / load_snapshot_instance), so a
-// loaded instance gets exactly the closures a generated one gets.
-template <typename Labels, typename Problem, typename Solve, typename Encode,
+// Builds the Impl from a typed instance (plus its retainer), the family's
+// problem factory (called on the held instance at verify time), a generic
+// solver functor (callable on an InstanceSource over either execution type,
+// returning the problem's per-node output value), and an encode/decode pair.
+// This is the single wiring point shared by the generator path (registry
+// entries) and the deserialization paths (erase_instance /
+// load_snapshot_instance), so a loaded instance gets exactly the closures a
+// generated one gets.
+template <typename Labels, typename MakeProblem, typename Solve, typename Encode,
           typename Decode>
-ErasedInstance erase(std::string family, std::shared_ptr<Held<Labels, Problem>> held,
+ErasedInstance erase(std::string family, Instance<Labels>&& inst,
+                     std::shared_ptr<const void> keep, MakeProblem make_problem,
                      Solve solve, Encode enc, Decode dec) {
+  auto held = std::make_shared<const Held<Labels>>(std::move(inst), std::move(keep));
   typename ErasedInstance::Impl impl;
   impl.family = family;
   impl.graph = held->inst.graph;
@@ -222,11 +223,13 @@ ErasedInstance erase(std::string family, std::shared_ptr<Held<Labels, Problem>> 
     InstanceSource<Labels, obs::TracedExecution> src(held->inst, exec);
     return enc(solve(src));
   };
-  impl.verify = [held, dec](const std::vector<int>& encoded) {
+  impl.verify = [held, make_problem, dec](const std::vector<int>& encoded) {
+    using Problem = std::invoke_result_t<const MakeProblem&, const Instance<Labels>&>;
+    const Problem problem = make_problem(held->inst);
     typename Problem::Output out;
     out.reserve(encoded.size());
     for (const int e : encoded) out.push_back(dec(e));
-    return verify_all(held->problem, held->inst, out);
+    return verify_all(problem, held->inst, out);
   };
   impl.save_snapshot = [held, family](const std::string& path) {
     io::write_snapshot(path, family, held->inst);
@@ -297,25 +300,32 @@ NodeIndex backbone_for(int k, NodeIndex n_target) {
                               "' is unknown or does not use " + labels + " labels");
 }
 
+// Input levels must cover every node.  Hierarchy's constructor makes the
+// same check, but the Hierarchy is only built at verify time; checking here
+// keeps a malformed instance from being accepted at load/erase time.
+void require_level_labels(std::string_view family, const HybridLabeling& l) {
+  if (static_cast<NodeIndex>(l.level_in.size()) != l.bal.tree.node_count()) {
+    throw std::invalid_argument("erase_instance: " + std::string(family) +
+                                " input level vector size mismatch");
+  }
+}
+
 ErasedInstance erase_colored_tree(std::string_view family, LeafColoringInstance&& inst,
                                   std::shared_ptr<const void> keep) {
   if (family == "leaf-coloring") {
-    auto held = std::make_shared<Held<ColoredTreeLabeling, LeafColoringProblem>>(
-        std::move(inst), [](const auto&) { return LeafColoringProblem{}; },
-        std::move(keep));
-    return erase("leaf-coloring", std::move(held),
-                 [](auto& src) { return leafcoloring_nearest_leaf(src); }, encode_color,
-                 decode_color);
+    return erase(
+        "leaf-coloring", std::move(inst), std::move(keep),
+        [](const auto&) { return LeafColoringProblem{}; },
+        [](auto& src) { return leafcoloring_nearest_leaf(src); }, encode_color,
+        decode_color);
   }
   if (family == "ball-4") {
-    auto held = std::make_shared<Held<ColoredTreeLabeling, BallCensusProblem>>(
-        std::move(inst), [](const auto&) { return BallCensusProblem(4); },
-        std::move(keep));
     // Output is the ball size itself.  Identity encoding: counts are
     // family-local (enc/dec pairs never cross entries), so the packed bit
     // layout above does not apply.
     return erase(
-        "ball-4", std::move(held),
+        "ball-4", std::move(inst), std::move(keep),
+        [](const auto&) { return BallCensusProblem(4); },
         [](auto& src) {
           return static_cast<int>(explore_ball(src.execution(), 4).size());
         },
@@ -323,12 +333,10 @@ ErasedInstance erase_colored_tree(std::string_view family, LeafColoringInstance&
   }
   if (family == "hthc-2" || family == "hthc-3") {
     const int k = family.back() - '0';
-    auto held = std::make_shared<Held<ColoredTreeLabeling, HierarchicalTHCProblem>>(
-        std::move(inst),
-        [k](const auto& i) { return HierarchicalTHCProblem(i, k); }, std::move(keep));
-    const HthcConfig cfg = HthcConfig::make(k, held->inst.node_count(), false, nullptr);
+    const HthcConfig cfg = HthcConfig::make(k, inst.node_count(), false, nullptr);
     return erase(
-        std::string(family), std::move(held),
+        std::string(family), std::move(inst), std::move(keep),
+        [k](const auto& i) { return HierarchicalTHCProblem(i, k); },
         [cfg](auto& src) {
           HthcSolver<std::decay_t<decltype(src)>> solver(src, cfg);
           return solver.solve();
@@ -348,35 +356,34 @@ ErasedInstance erase_instance(std::string_view family, LeafColoringInstance&& in
 ErasedInstance erase_instance(std::string_view family, BalancedTreeInstance&& inst,
                               std::shared_ptr<const void> keep_alive) {
   if (family != "balanced-tree") unknown_family(family, "balanced-tree");
-  auto held = std::make_shared<Held<BalancedTreeLabeling, BalancedTreeProblem>>(
-      std::move(inst), [](const auto&) { return BalancedTreeProblem{}; },
-      std::move(keep_alive));
-  return erase("balanced-tree", std::move(held),
-               [](auto& src) { return balancedtree_solve(src); }, encode_bt, decode_bt);
+  return erase(
+      "balanced-tree", std::move(inst), std::move(keep_alive),
+      [](const auto&) { return BalancedTreeProblem{}; },
+      [](auto& src) { return balancedtree_solve(src); }, encode_bt, decode_bt);
 }
 
 ErasedInstance erase_instance(std::string_view family, HybridInstance&& inst,
                               std::shared_ptr<const void> keep_alive) {
   if (family != "hybrid-2") unknown_family(family, "hybrid");
-  auto held = std::make_shared<Held<HybridLabeling, HybridTHCProblem>>(
-      std::move(inst), [](const auto& i) { return HybridTHCProblem(i, 2); },
-      std::move(keep_alive));
-  const HybridConfig cfg = HybridConfig::make(2, held->inst.node_count());
-  return erase("hybrid-2", std::move(held),
-               [cfg](auto& src) { return hybrid_solve_distance(src, cfg); },
-               encode_hybrid, decode_hybrid);
+  require_level_labels(family, inst.labels);
+  const HybridConfig cfg = HybridConfig::make(2, inst.node_count());
+  return erase(
+      "hybrid-2", std::move(inst), std::move(keep_alive),
+      [](const auto& i) { return HybridTHCProblem(i, 2); },
+      [cfg](auto& src) { return hybrid_solve_distance(src, cfg); }, encode_hybrid,
+      decode_hybrid);
 }
 
 ErasedInstance erase_instance(std::string_view family, HHInstance&& inst,
                               std::shared_ptr<const void> keep_alive) {
   if (family != "hh-2-3") unknown_family(family, "hh");
-  auto held = std::make_shared<Held<HHLabeling, HHTHCProblem>>(
-      std::move(inst), [](const auto& i) { return HHTHCProblem(i, 2, 3); },
-      std::move(keep_alive));
-  const HHConfig cfg = HHConfig::make(2, 3, held->inst.node_count());
-  return erase("hh-2-3", std::move(held),
-               [cfg](auto& src) { return hh_solve_distance(src, cfg); }, encode_hybrid,
-               decode_hybrid);
+  require_level_labels(family, inst.labels.hybrid);
+  const HHConfig cfg = HHConfig::make(2, 3, inst.node_count());
+  return erase(
+      "hh-2-3", std::move(inst), std::move(keep_alive),
+      [](const auto& i) { return HHTHCProblem(i, 2, 3); },
+      [cfg](auto& src) { return hh_solve_distance(src, cfg); }, encode_hybrid,
+      decode_hybrid);
 }
 
 ErasedInstance load_snapshot_instance(io::Snapshot&& snap) {

@@ -41,7 +41,7 @@ class Snapshot;
 class ErasedInstance {
  public:
   struct Impl {
-    std::shared_ptr<const void> held;  // keeps the instance (+ problem) alive
+    std::shared_ptr<const void> held;  // keeps the typed instance alive
     std::string family;                // registry key the instance belongs to
     GraphView graph{};
     const IdAssignment* ids = nullptr;
@@ -88,7 +88,9 @@ class ErasedInstance {
   int solve(Execution& exec) const { return impl_.solve(exec); }
   int solve(obs::TracedExecution& exec) const { return impl_.solve_traced(exec); }
 
-  // Whole-graph verification of encoded per-node outputs (Def. 2.6).
+  // Whole-graph verification of encoded per-node outputs (Def. 2.6).  The
+  // family's Problem — with its Hierarchy, for the hierarchical families — is
+  // built for the call and dropped after it: instances hold no verifier state.
   VerifyResult verify(const std::vector<int>& encoded_outputs) const {
     return impl_.verify(encoded_outputs);
   }

@@ -19,9 +19,10 @@
 //     tests/runtime_test.cpp.
 //
 // Storage: visited/layer state lives in an ExecutionScratch — a pair of flat
-// arrays sized to n plus an epoch stamp.  Starting a new execution is O(1)
-// (bump the epoch); whole-graph sweeps reuse one scratch per worker thread
-// and therefore perform zero allocations per start node.  The historical
+// arrays sized to n (a 32-bit stamp and a 32-bit layer: 8 B per node) plus an
+// epoch counter.  Starting a new execution is O(1) (bump the epoch);
+// whole-graph sweeps reuse one scratch per worker thread and therefore
+// perform zero allocations per start node.  The historical
 // std::unordered_map implementation is preserved verbatim as the test-only
 // differential reference in runtime/reference_execution.hpp.
 //
@@ -60,8 +61,12 @@ class ExecutionScratch {
   ExecutionScratch() = default;
   explicit ExecutionScratch(NodeIndex capacity) { reserve(capacity); }
 
-  // Ensures capacity for graphs of up to n nodes (grow-only).
+  // Ensures capacity for graphs of up to n nodes (grow-only).  A BFS layer
+  // is below n, so n must fit the 32-bit layer slots.
   void reserve(NodeIndex n) {
+    if (n > std::numeric_limits<std::int32_t>::max()) {
+      throw std::length_error("ExecutionScratch: graph too large for 32-bit layers");
+    }
     if (static_cast<NodeIndex>(stamp_.size()) < n) {
       stamp_.resize(static_cast<std::size_t>(n), 0);
       layer_.resize(static_cast<std::size_t>(n), 0);
@@ -72,9 +77,9 @@ class ExecutionScratch {
 
   // Test hook for the wrap-around guard below: places the epoch counter at
   // an arbitrary point so the regression test can drive it over the edge
-  // without 2^64 executions.
-  void set_epoch_for_testing(std::uint64_t epoch) { epoch_ = epoch; }
-  std::uint64_t epoch_for_testing() const { return epoch_; }
+  // without 2^32 executions.
+  void set_epoch_for_testing(std::uint32_t epoch) { epoch_ = epoch; }
+  std::uint32_t epoch_for_testing() const { return epoch_; }
 
  private:
   // Start a fresh execution on a graph of n nodes: O(1) apart from first-use
@@ -83,11 +88,11 @@ class ExecutionScratch {
   void begin(NodeIndex n) {
     reserve(n);
     order_.clear();
-    if (epoch_ == std::numeric_limits<std::uint64_t>::max()) {
-      // Wrap-around guard: incrementing past 2^64-1 would land the epoch
+    if (epoch_ == std::numeric_limits<std::uint32_t>::max()) {
+      // Wrap-around guard: incrementing past 2^32-1 would land the epoch
       // back on values old stamps still hold, resurrecting nodes visited by
-      // long-dead executions.  Unreachable by counting alone, but cheap to
-      // rule out: re-zero the stamps and restart the epoch stream.
+      // long-dead executions.  A long-lived worker reaches it after about
+      // 4.3e9 executions; the O(n) re-zero then amortizes to nothing.
       std::fill(stamp_.begin(), stamp_.end(), 0);
       epoch_ = 0;
     }
@@ -96,10 +101,10 @@ class ExecutionScratch {
 
   bool stamped(NodeIndex v) const { return stamp_[static_cast<std::size_t>(v)] == epoch_; }
 
-  std::vector<std::uint64_t> stamp_;  // epoch at which the slot was last visited
-  std::vector<std::int64_t> layer_;   // BFS layer within the explored subgraph
+  std::vector<std::uint32_t> stamp_;  // epoch at which the slot was last visited
+  std::vector<std::int32_t> layer_;   // BFS layer within the explored subgraph
   std::vector<NodeIndex> order_;      // visited nodes in discovery order
-  std::uint64_t epoch_ = 0;           // 0 = no execution has used a slot yet
+  std::uint32_t epoch_ = 0;           // 0 = no execution has used a slot yet
 
   template <typename Sink>
   friend class BasicExecution;
@@ -178,11 +183,12 @@ class BasicExecution {
         throw QueryBudgetExceeded("query budget exceeded at node " + std::to_string(w));
       }
       scratch_->stamp_[static_cast<std::size_t>(u)] = scratch_->epoch_;
-      scratch_->layer_[static_cast<std::size_t>(u)] = candidate;
+      scratch_->layer_[static_cast<std::size_t>(u)] = static_cast<std::int32_t>(candidate);
       scratch_->order_.push_back(u);
       max_layer_ = std::max(max_layer_, candidate);
     } else if (candidate < scratch_->layer_[static_cast<std::size_t>(u)]) {
-      scratch_->layer_[static_cast<std::size_t>(u)] = candidate;  // tighter layer seen later; no propagation
+      // Tighter layer seen later; no propagation.
+      scratch_->layer_[static_cast<std::size_t>(u)] = static_cast<std::int32_t>(candidate);
     }
     if constexpr (Sink::enabled) {
       sink_.on_query(g_, *ids_, w, j, u, fresh,
@@ -253,14 +259,14 @@ class BasicExecution {
         break;
       }
     }
-    const std::uint64_t epoch = scratch_->epoch_;
+    const std::uint32_t epoch = scratch_->epoch_;
     for (std::int64_t d = 1; d <= depth; ++d) {
       const auto lb = static_cast<std::size_t>(level_end[d - 1]);
       const auto le = static_cast<std::size_t>(level_end[d]);
       for (std::size_t i = lb; i < le; ++i) {
         const auto u = static_cast<std::size_t>(order[i]);
         scratch_->stamp_[u] = epoch;
-        scratch_->layer_[u] = d;
+        scratch_->layer_[u] = static_cast<std::int32_t>(d);
       }
     }
     query_count_ += queries;

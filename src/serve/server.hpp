@@ -83,14 +83,14 @@ class SocketServer {
  private:
   struct Connection;
 
-  void accept_loop();
+  void accept_loop(int listen_fd);
   void reader_loop(std::shared_ptr<Connection> conn);
 
   QueryService* service_ = nullptr;
   obs::Counter* c_connections_total_ = nullptr;
   obs::Counter* c_accept_retries_ = nullptr;
   std::string path_;
-  int listen_fd_ = -1;
+  int listen_fd_ = -1;  // owned by start()/stop(); the acceptor has its own copy
   int write_timeout_ms_ = 5000;
   std::thread acceptor_;
   mutable std::mutex conns_mu_;

@@ -4,11 +4,14 @@
 // executions, deterministically in (n_target, seed).
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "labels/generators.hpp"
 #include "lcl/registry.hpp"
 #include "obs/trace.hpp"
 #include "runtime/parallel_runner.hpp"
@@ -20,6 +23,66 @@ std::vector<NodeIndex> every_node(NodeIndex n) {
   std::vector<NodeIndex> starts(static_cast<std::size_t>(n));
   for (NodeIndex v = 0; v < n; ++v) starts[static_cast<std::size_t>(v)] = v;
   return starts;
+}
+
+// The family's solver at every node, one thread.
+std::vector<int> solve_everywhere(const ErasedInstance& inst) {
+  const auto starts = every_node(inst.node_count());
+  return ParallelRunner(1)
+      .run_at(inst.graph(), inst.ids(), std::span<const NodeIndex>(starts),
+              [&](Execution& exec) { return inst.solve(exec); })
+      .output;
+}
+
+bool same_verdict(const VerifyResult& a, const VerifyResult& b) {
+  return a.ok == b.ok && a.first_bad == b.first_bad && a.violations == b.violations;
+}
+
+// The four THC symbols R, B, D, X in the registry's packed output layout
+// (bits 18..19 of the encoded int; see lcl/registry.cpp).
+constexpr int kThcSymbols[] = {0 << 18, 1 << 18, 2 << 18, 3 << 18};
+
+// Aggregate over single-node corruptions: every node in `targets` has its
+// output replaced, alone, by each of the other three THC symbols, and the
+// whole output is re-verified.
+struct CorruptionTally {
+  VerifyResult first;           // verdict for the first corruption tried
+  std::int64_t detected = 0;    // corruptions verify() rejects
+  std::int64_t violations = 0;  // summed over all corruptions
+  std::int64_t first_bad = 0;   // summed over detected corruptions
+
+  friend bool operator==(const CorruptionTally& a, const CorruptionTally& b) {
+    return same_verdict(a.first, b.first) && a.detected == b.detected &&
+           a.violations == b.violations && a.first_bad == b.first_bad;
+  }
+  friend std::ostream& operator<<(std::ostream& os, const CorruptionTally& t) {
+    return os << "{first {" << t.first.ok << ", " << t.first.first_bad << ", "
+              << t.first.violations << "}, detected " << t.detected << ", violations "
+              << t.violations << ", first_bad " << t.first_bad << "}";
+  }
+};
+
+CorruptionTally corrupt_each(const ErasedInstance& inst, const std::vector<int>& solved,
+                             const std::vector<NodeIndex>& targets) {
+  CorruptionTally t;
+  bool first = true;
+  for (const NodeIndex v : targets) {
+    for (const int symbol : kThcSymbols) {
+      std::vector<int> out = solved;
+      int& slot = out[static_cast<std::size_t>(v)];
+      if (slot == symbol) continue;
+      slot = symbol;
+      const VerifyResult r = inst.verify(out);
+      if (first) t.first = r;
+      first = false;
+      if (!r.ok) {
+        ++t.detected;
+        t.first_bad += r.first_bad;
+      }
+      t.violations += r.violations;
+    }
+  }
+  return t;
 }
 
 TEST(Registry, CataloguesTheExpectedFamilies) {
@@ -175,6 +238,101 @@ TEST(Registry, NTargetScalesInstances) {
   const ErasedInstance small = entry->make(200, 3);
   const ErasedInstance large = entry->make(3000, 3);
   EXPECT_LT(small.node_count(), large.node_count());
+}
+
+TEST(Registry, VerifyIsRepeatable) {
+  // verify() builds its verifier state per call; two calls on the same
+  // outputs must agree exactly, on clean and on corrupted outputs.
+  for (const RegistryEntry& entry : ProblemRegistry::global().entries()) {
+    const ErasedInstance inst = entry.make(/*n_target=*/400, /*seed=*/5);
+    std::vector<int> out = solve_everywhere(inst);
+    const VerifyResult clean = inst.verify(out);
+    EXPECT_TRUE(clean.ok) << entry.name;
+    EXPECT_TRUE(same_verdict(clean, inst.verify(out))) << entry.name;
+    // Bit 0 is the low bit of the color, port and ball-size encodings, bit 18
+    // the low THC-symbol bit: every family sees some outputs change.
+    for (std::size_t i = 0; i < out.size(); i += 7) out[i] ^= (1 << 18) | 1;
+    const VerifyResult bad = inst.verify(out);
+    EXPECT_FALSE(bad.ok) << entry.name;
+    EXPECT_TRUE(same_verdict(bad, inst.verify(out))) << entry.name;
+  }
+}
+
+TEST(Registry, HybridLevel2CorruptionsArePinned) {
+  HybridInstance typed = make_hybrid_instance(2, /*backbone_len=*/14, /*bt_depth=*/3, 5);
+  std::vector<NodeIndex> level2;
+  for (NodeIndex v = 0; v < typed.node_count(); ++v) {
+    if (typed.labels.level_in[static_cast<std::size_t>(v)] == 2) level2.push_back(v);
+  }
+  ASSERT_FALSE(level2.empty());
+  const ErasedInstance inst = erase_instance("hybrid-2", std::move(typed));
+  const std::vector<int> solved = solve_everywhere(inst);
+  ASSERT_TRUE(inst.verify(solved).ok);
+  // Pinned verdicts: any rewrite of the verifier must reject exactly these
+  // corruptions, with the same first bad node and violation count.
+  EXPECT_EQ(corrupt_each(inst, solved, level2),
+            (CorruptionTally{{true, kNoNode, 0}, 14, 14, 91}));
+}
+
+TEST(Registry, HHCorruptionsArePinned) {
+  HHInstance typed = make_hh_instance(2, 3, /*n_half_target=*/200, 5);
+  std::vector<NodeIndex> level2;
+  std::vector<NodeIndex> side0;
+  for (NodeIndex v = 0; v < typed.node_count(); ++v) {
+    const auto i = static_cast<std::size_t>(v);
+    if (typed.labels.side[i] == 0) {
+      side0.push_back(v);
+    } else if (typed.labels.hybrid.level_in[i] == 2) {
+      level2.push_back(v);
+    }
+  }
+  ASSERT_FALSE(level2.empty());
+  ASSERT_FALSE(side0.empty());
+  const ErasedInstance inst = erase_instance("hh-2-3", std::move(typed));
+  const std::vector<int> solved = solve_everywhere(inst);
+  ASSERT_TRUE(inst.verify(solved).ok);
+  // Pinned as in HybridLevel2CorruptionsArePinned.
+  EXPECT_EQ(corrupt_each(inst, solved, level2),
+            (CorruptionTally{{false, 258, 1}, 14, 14, 3703}));
+  EXPECT_EQ(corrupt_each(inst, solved, side0),
+            (CorruptionTally{{false, 0, 1}, 743, 1311, 96003}));
+}
+
+TEST(Registry, MalformedInputLevelsAreRejectedAtErase) {
+  // The Hierarchy that reads the input levels is built only at verify
+  // time; the shape check still fires when the instance is erased.
+  HybridInstance hybrid = make_hybrid_instance(2, 6, 2, 1);
+  hybrid.labels.level_in.pop_back();
+  EXPECT_THROW((void)erase_instance("hybrid-2", std::move(hybrid)), std::invalid_argument);
+  HHInstance hh = make_hh_instance(2, 3, 64, 1);
+  hh.labels.hybrid.level_in.push_back(1);
+  EXPECT_THROW((void)erase_instance("hh-2-3", std::move(hh)), std::invalid_argument);
+}
+
+TEST(Registry, HierarchicalFamiliesVerifyAfterMutation) {
+  // A mutated instance is wired afresh, so its verify() builds the problem
+  // over the new graph and labels.  Leaf rewires keep every instance inside
+  // what the solver is specified for; label writes need not, but the fast
+  // and the naive mutation paths must still reach the same verdict.
+  for (const char* family : {"hthc-2", "hthc-3", "hybrid-2", "hh-2-3"}) {
+    const RegistryEntry* entry = ProblemRegistry::global().find(family);
+    ASSERT_NE(entry, nullptr) << family;
+    const ErasedInstance base = entry->make(/*n_target=*/400, /*seed=*/5);
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      const ErasedInstance rewired =
+          base.mutated(base.propose_mutation(seed, /*rewires=*/2, /*label_updates=*/0));
+      const VerifyResult r = rewired.verify(solve_everywhere(rewired));
+      EXPECT_TRUE(r.ok) << family << " seed " << seed << ": " << r.violations
+                        << " violations, first at node " << r.first_bad;
+
+      const MutationBatch batch = base.propose_mutation(seed, 2, /*label_updates=*/4);
+      const ErasedInstance fast = base.mutated(batch);
+      const ErasedInstance naive = base.mutated_naive(batch);
+      const std::vector<int> out = solve_everywhere(fast);
+      EXPECT_TRUE(same_verdict(fast.verify(out), naive.verify(out)))
+          << family << " seed " << seed;
+    }
+  }
 }
 
 }  // namespace

@@ -281,6 +281,14 @@ TEST(ExecutionScratch, GrowsAcrossGraphsAndShrinksNever) {
   EXPECT_EQ(scratch.capacity(), big.node_count());
 }
 
+TEST(ExecutionScratch, RefusesGraphsBeyondItsLayerWidth) {
+  // Layers are stored as int32_t; a graph whose BFS layers could exceed that
+  // is refused before anything is allocated.
+  ExecutionScratch scratch;
+  EXPECT_THROW(scratch.reserve(NodeIndex{1} << 31), std::length_error);
+  EXPECT_EQ(scratch.capacity(), 0);
+}
+
 // ---------------------------------------------------------------------------
 // Runner
 // ---------------------------------------------------------------------------

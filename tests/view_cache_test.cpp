@@ -56,15 +56,15 @@ BallObservation cached_ball(const Graph& g, const IdAssignment& ids, ViewCache& 
 TEST(ExecutionScratch, EpochWrapAroundDoesNotResurrectStamps) {
   auto inst = make_complete_binary_tree(4, Color::Red, Color::Blue);
   ExecutionScratch scratch(inst.node_count());
-  // Place the counter so the next execution runs at epoch 2^64-1 and stamps
-  // nodes with it...
-  scratch.set_epoch_for_testing(std::numeric_limits<std::uint64_t>::max() - 1);
+  // Place the counter so the next execution runs at epoch 2^32-1 (the
+  // 32-bit stamps' last value) and stamps nodes with it...
+  scratch.set_epoch_for_testing(std::numeric_limits<std::uint32_t>::max() - 1);
   {
     Execution exec(inst.graph, inst.ids, 0, 0, scratch);
     explore_ball(exec, 2);
     EXPECT_GT(exec.volume(), 1);
   }
-  EXPECT_EQ(scratch.epoch_for_testing(), std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(scratch.epoch_for_testing(), std::numeric_limits<std::uint32_t>::max());
   // ...so this begin() must take the wrap guard.  Without it the epoch would
   // wrap to 0 — the "never visited" stamp value — and every untouched slot
   // in the scratch would read as visited by the new execution.
