@@ -224,7 +224,7 @@ void run_cache_ablation(const Args& args, stats::Table& table, JsonReport& repor
 
   const std::vector<AblationRow> rows = run_ablation_rows(
       inst.graph, inst.ids, starts, solve, ProbePlan::batched_ball(kRadius),
-      {CachePolicy::Off, CachePolicy::PerStart, CachePolicy::Shared}, kRepeats,
+      {CachePolicy::Off, CachePolicy::Shared}, kRepeats,
       "ball(r=6)/hot", table, report, "cache-ablation");
   const AblationRow* off8 = find_row(rows, ExecBackend::Basic, CachePolicy::Off, 8);
   const AblationRow* shared8 = find_row(rows, ExecBackend::Basic, CachePolicy::Shared, 8);

@@ -451,23 +451,22 @@ CheckResult check_cache_case(const FuzzCase& c) {
   };
   const auto baseline = ParallelRunner(1, config(CachePolicy::Off))
                             .run_at(inst.graph(), inst.ids(), span, solve, c.budget, &tape);
-  for (const CachePolicy policy : {CachePolicy::PerStart, CachePolicy::Shared}) {
-    for (const int threads : {1, 8}) {
-      const auto run = ParallelRunner(threads, config(policy))
-                           .run_at(inst.graph(), inst.ids(), span, solve, c.budget, &tape);
-      const std::string where = std::string(cache_policy_name(policy)) + " at " +
-                                std::to_string(threads) + " thread(s)";
-      if (baseline.output != run.output) return fail("cache: outputs diverge under " + where);
-      if (baseline.volume != run.volume || baseline.distance != run.distance ||
-          baseline.queries != run.queries) {
-        return fail("cache: per-start costs diverge under " + where);
-      }
-      if (!same_costs(baseline.stats, run.stats)) {
-        return fail("cache: aggregate costs diverge under " + where);
-      }
-      if (run.stats.cache.policy != policy) {
-        return fail("cache: sweep stats tagged with the wrong policy under " + where);
-      }
+  const CachePolicy policy = CachePolicy::Shared;
+  for (const int threads : {1, 8}) {
+    const auto run = ParallelRunner(threads, config(policy))
+                         .run_at(inst.graph(), inst.ids(), span, solve, c.budget, &tape);
+    const std::string where = std::string(cache_policy_name(policy)) + " at " +
+                              std::to_string(threads) + " thread(s)";
+    if (baseline.output != run.output) return fail("cache: outputs diverge under " + where);
+    if (baseline.volume != run.volume || baseline.distance != run.distance ||
+        baseline.queries != run.queries) {
+      return fail("cache: per-start costs diverge under " + where);
+    }
+    if (!same_costs(baseline.stats, run.stats)) {
+      return fail("cache: aggregate costs diverge under " + where);
+    }
+    if (run.stats.cache.policy != policy) {
+      return fail("cache: sweep stats tagged with the wrong policy under " + where);
     }
   }
 
@@ -521,8 +520,7 @@ CheckResult check_backend_case(const FuzzCase& c) {
     return fail("backend: basic sweep lost its plan tag");
   }
 
-  for (const CachePolicy policy :
-       {CachePolicy::Off, CachePolicy::PerStart, CachePolicy::Shared}) {
+  for (const CachePolicy policy : {CachePolicy::Off, CachePolicy::Shared}) {
     for (const int threads : {1, 8}) {
       ParallelRunner runner(threads, config(policy));
       runner.set_backend(ExecBackend::Batched);
@@ -792,8 +790,7 @@ CheckResult check_mutation_case(const FuzzCase& c) {
       !same_costs(base_mut.stats, base_naive.stats)) {
     return fail("mutation: mutate-then-query costs diverge from rebuild-then-query");
   }
-  for (const CachePolicy policy :
-       {CachePolicy::Off, CachePolicy::PerStart, CachePolicy::Shared}) {
+  for (const CachePolicy policy : {CachePolicy::Off, CachePolicy::Shared}) {
     for (const int threads : {1, 8}) {
       ParallelRunner runner(threads, config(policy));
       runner.set_backend(ExecBackend::Batched);

@@ -72,9 +72,9 @@ struct CheckResult {
 CheckResult check_case(const FuzzCase& c);
 
 // Cache-policy differential (runtime/view_cache.hpp): the same sweep under
-// CachePolicy Off, PerStart and Shared, at 1 and 8 threads, must be
-// bit-identical in outputs and per-start/aggregate costs, and a traced sweep
-// on a cache-enabled runner must bypass the cache entirely (zero counters,
+// CachePolicy Shared, at 1 and 8 threads, must be bit-identical to the Off
+// sweep in outputs and per-start/aggregate costs, and a traced sweep on a
+// cache-enabled runner must bypass the cache entirely (zero counters,
 // identical results).  Run by the driver when --cache is set.
 CheckResult check_cache_case(const FuzzCase& c);
 

@@ -4,7 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#define VOLCAL_ALLOW_DIRECT_SERIALIZE_INCLUDE
 #include "io/serialize.hpp"
 
 namespace volcal::io {

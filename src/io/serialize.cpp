@@ -1,4 +1,3 @@
-#define VOLCAL_ALLOW_DIRECT_SERIALIZE_INCLUDE  // this TU is the text layer
 #include "io/serialize.hpp"
 
 #include <istream>

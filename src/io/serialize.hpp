@@ -14,16 +14,6 @@
 // edges (parent -> child), lateral claims dashed, colors as fill.
 #pragma once
 
-// Deprecated as a direct include: instance persistence is consolidated
-// behind volcal/io.hpp (load_instance/save_instance sniff the format, so
-// callers need not care whether a file is text or a binary snapshot).  The
-// io layer itself defines the macro; anything else hitting this message
-// should migrate — see the DESIGN.md deprecation ledger.
-#ifndef VOLCAL_ALLOW_DIRECT_SERIALIZE_INCLUDE
-#pragma message( \
-    "io/serialize.hpp included directly; use volcal/io.hpp (load_instance/save_instance) instead")
-#endif
-
 #include <iosfwd>
 #include <string>
 

@@ -7,10 +7,6 @@
 #include <type_traits>
 #include <utility>
 
-// This file *is* part of the io consolidation surface (it wires the text and
-// snapshot serializers into the erased instances), so the direct include is
-// intentional; everyone else goes through volcal/io.hpp.
-#define VOLCAL_ALLOW_DIRECT_SERIALIZE_INCLUDE
 #include "io/serialize.hpp"
 #include "io/snapshot.hpp"
 #include "labels/generators.hpp"

@@ -1,41 +1,9 @@
 #include "obs/metrics.hpp"
 
-#include <bit>
 #include <cinttypes>
 #include <cstdio>
 
 namespace volcal::obs {
-
-int LogHistogram::bucket_of(std::int64_t v) {
-  if (v <= 0) return 0;
-  return std::bit_width(static_cast<std::uint64_t>(v));
-}
-
-void LogHistogram::add(std::int64_t v) {
-  ++buckets[static_cast<std::size_t>(bucket_of(v))];
-  if (count == 0) {
-    min = max = v;
-  } else {
-    min = std::min(min, v);
-    max = std::max(max, v);
-  }
-  ++count;
-  sum += v;
-}
-
-void LogHistogram::merge(const LogHistogram& other) {
-  if (other.count == 0) return;
-  for (std::size_t b = 0; b < buckets.size(); ++b) buckets[b] += other.buckets[b];
-  if (count == 0) {
-    min = other.min;
-    max = other.max;
-  } else {
-    min = std::min(min, other.min);
-    max = std::max(max, other.max);
-  }
-  count += other.count;
-  sum += other.sum;
-}
 
 void SweepMetrics::merge(const SweepMetrics& other) {
   sweeps += other.sweeps;

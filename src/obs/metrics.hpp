@@ -18,31 +18,15 @@
 #include <cstdint>
 #include <string>
 
+#include "obs/registry.hpp"
 #include "perf/probe.hpp"
 #include "runtime/parallel_runner.hpp"
 #include "runtime/randomness.hpp"
 
 namespace volcal::obs {
 
-// Power-of-two bucket histogram: bucket b counts values v with
-// bit_width(v) == b, i.e. bucket 0 holds v=0, bucket 1 holds v=1,
-// bucket 2 holds 2-3, bucket 3 holds 4-7, ...  Fixed 64 buckets — covers the
-// full int64 range, trivially mergeable.
-struct LogHistogram {
-  std::array<std::int64_t, 64> buckets{};
-  std::int64_t count = 0;
-  std::int64_t min = 0;
-  std::int64_t max = 0;
-  std::int64_t sum = 0;
-
-  static int bucket_of(std::int64_t v);
-
-  void add(std::int64_t v);
-  void merge(const LogHistogram& other);
-
-  friend bool operator==(const LogHistogram&, const LogHistogram&) = default;
-};
-
+// Histograms are obs::LogHistogram (obs/registry.hpp), the value type the
+// MetricsRegistry snapshots too.
 struct SweepMetrics {
   std::int64_t sweeps = 0;  // measure()/run_at calls folded in
   SweepStats stats;         // totals and sups across all folded sweeps

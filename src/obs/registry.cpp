@@ -17,7 +17,33 @@ unsigned thread_shard_slot() {
 
 }  // namespace detail
 
-std::int64_t HistogramSnapshot::approx_quantile(double q) const {
+void LogHistogram::add(std::int64_t v) {
+  ++buckets[static_cast<std::size_t>(bucket_of(v))];
+  if (count == 0) {
+    min = max = v;
+  } else {
+    min = std::min(min, v);
+    max = std::max(max, v);
+  }
+  ++count;
+  sum += v;
+}
+
+void LogHistogram::merge(const LogHistogram& other) {
+  if (other.count == 0) return;
+  for (std::size_t b = 0; b < buckets.size(); ++b) buckets[b] += other.buckets[b];
+  if (count == 0) {
+    min = other.min;
+    max = other.max;
+  } else {
+    min = std::min(min, other.min);
+    max = std::max(max, other.max);
+  }
+  count += other.count;
+  sum += other.sum;
+}
+
+std::int64_t LogHistogram::approx_quantile(double q) const {
   if (count <= 0) return 0;
   const double clamped = std::clamp(q, 0.0, 1.0);
   // Nearest-rank: the smallest rank covering fraction q of the samples.
@@ -34,8 +60,8 @@ std::int64_t HistogramSnapshot::approx_quantile(double q) const {
   return max;
 }
 
-HistogramSnapshot Histogram::snapshot() const {
-  HistogramSnapshot out;
+LogHistogram Histogram::snapshot() const {
+  LogHistogram out;
   for (std::size_t s = 0; s < detail::kMetricShards; ++s) {
     const Slot& slot = slots_[s];
     const std::int64_t n = slot.count.load(std::memory_order_relaxed);

@@ -12,9 +12,8 @@
 //   Gauge      single atomic level (set/add) — queue depths, connection
 //              counts; also registrable as a callback (gauge_fn) evaluated
 //              at snapshot time for values owned elsewhere.
-//   Histogram  the LogHistogram bucketing (bucket b = values with
-//              bit_width(v) == b; bucket 0 holds v <= 0) with count/sum/
-//              min/max, sharded like Counter and merged on read.
+//   Histogram  a LogHistogram (below) sharded like Counter and merged on
+//              read into a plain LogHistogram.
 //
 // Shard-merge determinism: every shard field is an order-independent
 // reduction (sum, min, max), so a snapshot taken after N adds reads the
@@ -105,21 +104,32 @@ class Gauge {
   std::atomic<std::int64_t> v_{0};
 };
 
-// Merged read of one Histogram: same bucketing as obs::LogHistogram
-// (bucket_of(v) = bit_width(v), clamped to 0 for v <= 0).
-struct HistogramSnapshot {
+// Power-of-two bucket histogram, the one histogram value type: SweepMetrics
+// (obs/metrics.hpp) accumulates these directly, and Histogram::snapshot()
+// returns one.  Bucket b counts values v with bit_width(v) == b, i.e. bucket
+// 0 holds v <= 0, bucket 1 holds v=1, bucket 2 holds 2-3, bucket 3 holds
+// 4-7, ...  Fixed 64 buckets — covers the full int64 range, trivially
+// mergeable.
+struct LogHistogram {
   std::array<std::int64_t, 64> buckets{};
   std::int64_t count = 0;
-  std::int64_t sum = 0;
   std::int64_t min = 0;
   std::int64_t max = 0;
+  std::int64_t sum = 0;
+
+  static int bucket_of(std::int64_t v) {
+    return v <= 0 ? 0 : std::bit_width(static_cast<std::uint64_t>(v));
+  }
+
+  void add(std::int64_t v);
+  void merge(const LogHistogram& other);
 
   // Nearest-rank quantile resolved to the upper bound of the holding bucket
   // (exact for bucket 0/1, a <= 2x overestimate above) — good enough for a
   // dashboard; exact percentiles come from sample vectors where they matter.
   std::int64_t approx_quantile(double q) const;
 
-  friend bool operator==(const HistogramSnapshot&, const HistogramSnapshot&) = default;
+  friend bool operator==(const LogHistogram&, const LogHistogram&) = default;
 };
 
 class Histogram {
@@ -129,13 +139,9 @@ class Histogram {
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
-  static int bucket_of(std::int64_t v) {
-    return v <= 0 ? 0 : std::bit_width(static_cast<std::uint64_t>(v));
-  }
-
   void add(std::int64_t v) {
     Slot& slot = slots_[detail::thread_shard_slot() % detail::kMetricShards];
-    slot.buckets[static_cast<std::size_t>(bucket_of(v))].fetch_add(
+    slot.buckets[static_cast<std::size_t>(LogHistogram::bucket_of(v))].fetch_add(
         1, std::memory_order_relaxed);
     slot.count.fetch_add(1, std::memory_order_relaxed);
     slot.sum.fetch_add(v, std::memory_order_relaxed);
@@ -143,7 +149,7 @@ class Histogram {
     detail::atomic_max(slot.max, v);
   }
 
-  HistogramSnapshot snapshot() const;
+  LogHistogram snapshot() const;
 
  private:
   struct alignas(64) Slot {
@@ -161,7 +167,7 @@ class Histogram {
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, std::int64_t>> counters;
   std::vector<std::pair<std::string, std::int64_t>> gauges;
-  std::vector<std::pair<std::string, HistogramSnapshot>> histograms;
+  std::vector<std::pair<std::string, LogHistogram>> histograms;
 
   std::int64_t counter(const std::string& name, std::int64_t fallback = 0) const;
   std::int64_t gauge(const std::string& name, std::int64_t fallback = 0) const;

@@ -111,4 +111,53 @@ class BatchedBallExecutor {
   std::vector<CachedBall> balls_;
 };
 
+// One cached ball wave: the cache-hit / fused-miss / store-back protocol that
+// whole-graph sweeps (ParallelRunner::run_planned) and the query service both
+// run per batch of at most kMaxBatch centers.
+//   * The cache epoch is read before any lookup.
+//   * Each full hit is reported at once as on_hit(i, costs), i indexing
+//     `centers`.
+//   * The misses run as one exec.run(); on_fused(index, costs) then reports
+//     them together: slot s answered centers[index[s]] with costs[s].
+//   * Each fused expansion is stored under that epoch and `token`, the
+//     storage identity of the graph `exec` is bound to.  store() drops it if
+//     the cache was re-bound meanwhile (a hot swap), so no ball of the old
+//     graph can be parked under the new binding.
+// `cache` may be null (every center misses, nothing is stored).  A wave with
+// no miss calls neither exec.run(), on_fused nor store().  The caller binds
+// `exec` and `cache` to `g` first.
+template <typename OnHit, typename OnFused>
+void run_cached_ball_wave(BatchedBallExecutor& exec, GraphView g,
+                          std::span<const NodeIndex> centers, std::int64_t radius,
+                          ViewCache* cache, StorageToken token, OnHit&& on_hit,
+                          OnFused&& on_fused) {
+  const std::uint64_t epoch = cache != nullptr ? cache->epoch() : 0;
+  NodeIndex fused[BatchedBallExecutor::kMaxBatch];
+  std::size_t index[BatchedBallExecutor::kMaxBatch];
+  std::size_t b = 0;
+  for (std::size_t i = 0; i < centers.size(); ++i) {
+    BallCosts costs;
+    if (cache != nullptr && cache->serve_costs(g, centers[i], radius, &costs)) {
+      on_hit(i, costs);
+      continue;
+    }
+    fused[b] = centers[i];
+    index[b] = i;
+    ++b;
+  }
+  if (b == 0) return;
+  exec.run({fused, b}, radius);
+  BallCosts costs[BatchedBallExecutor::kMaxBatch];
+  for (std::size_t s = 0; s < b; ++s) {
+    const int slot = static_cast<int>(s);
+    costs[s] = {exec.volume(slot), exec.distance(slot), exec.queries(slot)};
+  }
+  on_fused(std::span<const std::size_t>(index, b), std::span<const BallCosts>(costs, b));
+  if (cache != nullptr) {
+    for (std::size_t s = 0; s < b; ++s) {
+      cache->store(fused[s], exec.take_ball(static_cast<int>(s)), epoch, token);
+    }
+  }
+}
+
 }  // namespace volcal

@@ -185,9 +185,8 @@ class ParallelRunner {
     std::atomic<std::int64_t> next{0};
     std::vector<std::int64_t> truncated(static_cast<std::size_t>(workers), 0);
 
-    // View-cache scope per policy: Shared = one cache for the whole sweep
-    // (the attached persistent one when present, else sweep-scoped);
-    // PerStart = one cache per worker, invalidated before every start.
+    // View-cache scope: one cache for the whole sweep (the attached
+    // persistent one when present, else sweep-scoped under Shared).
     // Execution factories whose type has no attach_view_cache (the test-only
     // map reference) simply run uncached.
     ViewCache* shared_cache = external_cache_;
@@ -198,16 +197,11 @@ class ParallelRunner {
     }
     const CacheStats cache_before =
         shared_cache != nullptr ? shared_cache->stats() : CacheStats{};
-    std::vector<CacheStats> worker_cache(static_cast<std::size_t>(workers));
 
     detail::run_on_workers(workers, [&](const int worker) {
       ExecutionScratch scratch(node_capacity);
       std::optional<RandomTape::ScopedUsage> usage;
       if (tape != nullptr) usage.emplace(*tape);
-      std::optional<ViewCache> per_start_cache;
-      if (shared_cache == nullptr && cache_config_.policy == CachePolicy::PerStart) {
-        per_start_cache.emplace(cache_config_);
-      }
       std::int64_t local_truncated = 0;
       for (std::int64_t begin = next.fetch_add(chunk, std::memory_order_relaxed);
            begin < count; begin = next.fetch_add(chunk, std::memory_order_relaxed)) {
@@ -217,12 +211,7 @@ class ParallelRunner {
           {
             Exec exec = make_exec(i, scratch);
             if constexpr (requires { exec.attach_view_cache(nullptr); }) {
-              if (per_start_cache.has_value()) {
-                per_start_cache->invalidate();  // cache scope = this start only
-                exec.attach_view_cache(&*per_start_cache);
-              } else if (shared_cache != nullptr) {
-                exec.attach_view_cache(shared_cache);
-              }
+              if (shared_cache != nullptr) exec.attach_view_cache(shared_cache);
             }
             try {
               output[static_cast<std::size_t>(i)] = static_cast<OutputSlot>(solver(exec));
@@ -248,9 +237,6 @@ class ParallelRunner {
         }
       }
       truncated[static_cast<std::size_t>(worker)] = local_truncated;
-      if (per_start_cache.has_value()) {
-        worker_cache[static_cast<std::size_t>(worker)] = per_start_cache->stats();
-      }
     });
 
     if constexpr (std::is_same_v<Label, bool>) {
@@ -258,32 +244,10 @@ class ParallelRunner {
     } else {
       result.output = std::move(output);
     }
-    result.stats.starts = count;
     for (int w = 0; w < workers; ++w) {
       result.stats.truncated += truncated[static_cast<std::size_t>(w)];
     }
-    for (std::int64_t i = 0; i < count; ++i) {
-      result.stats.max_volume =
-          std::max(result.stats.max_volume, result.volume[static_cast<std::size_t>(i)]);
-      result.stats.max_distance =
-          std::max(result.stats.max_distance, result.distance[static_cast<std::size_t>(i)]);
-      result.stats.total_volume += result.volume[static_cast<std::size_t>(i)];
-      result.stats.total_queries += result.queries[static_cast<std::size_t>(i)];
-    }
-    if (shared_cache != nullptr) {
-      result.stats.cache = shared_cache->stats() - cache_before;
-      result.stats.cache.policy = cache_config_.policy == CachePolicy::Off
-                                      ? CachePolicy::Shared  // attached external cache
-                                      : cache_config_.policy;
-    } else {
-      for (int w = 0; w < workers; ++w) {
-        result.stats.cache += worker_cache[static_cast<std::size_t>(w)];
-      }
-      result.stats.cache.policy = cache_config_.policy;
-    }
-    result.stats.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - sweep_begin).count();
-    detail::note_sweep(result.stats);
+    finish_sweep(result, shared_cache, cache_before, sweep_begin);
     return result;
   }
 
@@ -312,18 +276,18 @@ class ParallelRunner {
     return run_at(g, ids, starts, std::forward<Solver>(solver), budget, tape, profile);
   }
 
-  // Plan-dispatched sweep.  Batchable plans (BatchedBall / SharedFrontier)
-  // run on the wave-synchronous backend when the runner's backend is Batched
-  // and the sweep is eligible: no query budget (the truncating query must
+  // Plan-dispatched sweep.  Batchable plans (BatchedBall) run on the
+  // wave-synchronous backend when the runner's backend is Batched and the
+  // sweep is eligible: no query budget (the truncating query must
   // fire at the identical point, so budgeted runs stay per-start), no random
   // tape (a batchable plan's solver is deterministic by promise), and an
   // integral output (the plan's contract is output == ball size).  Everything
   // else takes the per-start loop with the plan recorded in the stats.
   //
-  // CachePolicy composition on the batched path: Shared serves full hits
-  // from the cache, batches only the misses, and inserts every completed
-  // expansion; PerStart — a per-start-scoped cache — is semantically a no-op
-  // for a single-ball solver and runs uncached.
+  // Cache composition on the batched path: under Shared (or an attached
+  // cache) each batch is one run_cached_ball_wave — full hits are served
+  // from the cache, only the misses are fused, and every completed expansion
+  // is stored; under Off every start is fused.
   template <typename Solver>
   auto run_planned(GraphView g, const IdAssignment& ids,
                    std::span<const NodeIndex> starts, const ProbePlan& plan,
@@ -344,10 +308,10 @@ class ParallelRunner {
 
  private:
   // The batched engine loop: workers pull 64-start batches of *consecutive*
-  // starts (neighboring balls overlap most) off the atomic counter, serve
-  // full cache hits, fuse the misses into one BatchedBallExecutor run, and
-  // write per-start meters to disjoint slots.  Structure mirrors
-  // run_at_observed; the reduction is the same serial scan.
+  // starts (neighboring balls overlap most) off the atomic counter, run each
+  // as one cached ball wave (run_cached_ball_wave), and write per-start
+  // meters to disjoint slots.  Structure mirrors run_at_observed and ends in
+  // the same finish_sweep.
   template <typename Label>
   SweepResult<Label> run_batched_balls(GraphView g, std::span<const NodeIndex> starts,
                                        const ProbePlan& plan,
@@ -380,51 +344,29 @@ class ParallelRunner {
     detail::run_on_workers(workers, [&](const int worker) {
       BatchedBallExecutor exec;
       exec.bind(g);
-      NodeIndex centers[BatchedBallExecutor::kMaxBatch];
-      std::int64_t slot_of[BatchedBallExecutor::kMaxBatch];
       BatchStats local;
       for (std::int64_t begin = next.fetch_add(kBatch, std::memory_order_relaxed);
            begin < count; begin = next.fetch_add(kBatch, std::memory_order_relaxed)) {
         const std::int64_t end = std::min(count, begin + kBatch);
         const auto batch_begin = profile ? std::chrono::steady_clock::now() : sweep_begin;
-        const std::uint64_t epoch = shared_cache != nullptr ? shared_cache->epoch() : 0;
-        int b = 0;
-        for (std::int64_t i = begin; i < end; ++i) {
-          const NodeIndex center = starts[static_cast<std::size_t>(i)];
-          if (shared_cache != nullptr) {
-            BallCosts costs;
-            if (shared_cache->serve_costs(g, center, plan.radius, &costs)) {
-              result.output[static_cast<std::size_t>(i)] = static_cast<Label>(costs.volume);
-              result.volume[static_cast<std::size_t>(i)] = costs.volume;
-              result.distance[static_cast<std::size_t>(i)] = costs.distance;
-              result.queries[static_cast<std::size_t>(i)] = costs.queries;
-              continue;
-            }
-          }
-          centers[b] = center;
-          slot_of[b] = i;
-          ++b;
-        }
-        if (b > 0) {
-          exec.run({centers, static_cast<std::size_t>(b)}, plan.radius);
-          for (int s = 0; s < b; ++s) {
-            const auto i = static_cast<std::size_t>(slot_of[s]);
-            result.output[i] = static_cast<Label>(exec.volume(s));
-            result.volume[i] = exec.volume(s);
-            result.distance[i] = exec.distance(s);
-            result.queries[i] = exec.queries(s);
-          }
-          if (shared_cache != nullptr) {
-            for (int s = 0; s < b; ++s) {
-              shared_cache->store(centers[s], exec.take_ball(s), epoch,
-                                  g.storage_identity());
-            }
-          }
-          ++local.batches;
-          local.batched_starts += b;
-          local.waves += exec.waves();
-          local.expanded_nodes += exec.expanded_nodes();
-        }
+        const auto record = [&](std::size_t k, const BallCosts& costs) {
+          const auto i = static_cast<std::size_t>(begin) + k;
+          result.output[i] = static_cast<Label>(costs.volume);
+          result.volume[i] = costs.volume;
+          result.distance[i] = costs.distance;
+          result.queries[i] = costs.queries;
+        };
+        run_cached_ball_wave(
+            exec, g,
+            starts.subspan(static_cast<std::size_t>(begin), static_cast<std::size_t>(end - begin)),
+            plan.radius, shared_cache, g.storage_identity(), record,
+            [&](std::span<const std::size_t> index, std::span<const BallCosts> costs) {
+              for (std::size_t s = 0; s < index.size(); ++s) record(index[s], costs[s]);
+              ++local.batches;
+              local.batched_starts += static_cast<std::int64_t>(index.size());
+              local.waves += exec.waves();
+              local.expanded_nodes += exec.expanded_nodes();
+            });
         if (profile != nullptr) {
           const auto batch_end = std::chrono::steady_clock::now();
           const std::int64_t begin_ns =
@@ -444,23 +386,6 @@ class ParallelRunner {
       worker_batch[static_cast<std::size_t>(worker)] = local;
     });
 
-    result.stats.starts = count;
-    for (std::int64_t i = 0; i < count; ++i) {
-      result.stats.max_volume =
-          std::max(result.stats.max_volume, result.volume[static_cast<std::size_t>(i)]);
-      result.stats.max_distance =
-          std::max(result.stats.max_distance, result.distance[static_cast<std::size_t>(i)]);
-      result.stats.total_volume += result.volume[static_cast<std::size_t>(i)];
-      result.stats.total_queries += result.queries[static_cast<std::size_t>(i)];
-    }
-    if (shared_cache != nullptr) {
-      result.stats.cache = shared_cache->stats() - cache_before;
-      result.stats.cache.policy = cache_config_.policy == CachePolicy::Off
-                                      ? CachePolicy::Shared  // attached external cache
-                                      : cache_config_.policy;
-    } else {
-      result.stats.cache.policy = cache_config_.policy;
-    }
     result.stats.plan = plan.kind;
     result.stats.backend = ExecBackend::Batched;
     for (int w = 0; w < workers; ++w) {
@@ -477,10 +402,32 @@ class ParallelRunner {
         profile->worker_waves[static_cast<std::size_t>(w)] = wb.waves;
       }
     }
-    result.stats.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - sweep_begin).count();
-    detail::note_sweep(result.stats);
+    finish_sweep(result, shared_cache, cache_before, sweep_begin);
     return result;
+  }
+
+  // The tail both engine loops share: the serial sup/total scan of the slot
+  // vectors (order-independent, hence deterministic), the cache-counter
+  // delta, wall time, and the fold into the global metrics.
+  template <typename Label>
+  static void finish_sweep(SweepResult<Label>& result, const ViewCache* shared_cache,
+                           const CacheStats& cache_before,
+                           std::chrono::steady_clock::time_point sweep_begin) {
+    SweepStats& stats = result.stats;
+    stats.starts = static_cast<std::int64_t>(result.volume.size());
+    for (std::size_t i = 0; i < result.volume.size(); ++i) {
+      stats.max_volume = std::max(stats.max_volume, result.volume[i]);
+      stats.max_distance = std::max(stats.max_distance, result.distance[i]);
+      stats.total_volume += result.volume[i];
+      stats.total_queries += result.queries[i];
+    }
+    if (shared_cache != nullptr) {
+      stats.cache = shared_cache->stats() - cache_before;
+      stats.cache.policy = CachePolicy::Shared;  // sweep-scoped or attached
+    }
+    stats.wall_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - sweep_begin).count();
+    detail::note_sweep(stats);
   }
 
   int threads_;

@@ -21,23 +21,16 @@
 namespace volcal {
 
 // Ball-view memoization policy for a sweep (runtime/view_cache.hpp).
-//   Off      — every explore_ball performs its queries directly (default);
-//   PerStart — a cache scoped to one start node: exercises the insert/serve
-//              machinery without any sharing (the bisection rung between Off
-//              and Shared);
-//   Shared   — one cache shared by all starts (and workers) of the sweep:
-//              repeated centers are served from memory.
+//   Off    — every explore_ball performs its queries directly (default);
+//   Shared — one cache shared by all starts (and workers) of the sweep:
+//            repeated centers are served from memory.
 // The policy never changes any deterministic output: served balls replay the
 // exact query outcome the direct path would produce, and the cost meters
 // (volume / distance / query count, Defs. 2.1-2.2) advance identically.
-enum class CachePolicy { Off, PerStart, Shared };
+enum class CachePolicy { Off, Shared };
 
 constexpr const char* cache_policy_name(CachePolicy p) {
-  switch (p) {
-    case CachePolicy::PerStart: return "perstart";
-    case CachePolicy::Shared: return "shared";
-    default: return "off";
-  }
+  return p == CachePolicy::Shared ? "shared" : "off";
 }
 
 // View-cache counters for one sweep.  All of these describe wall-time

@@ -12,10 +12,6 @@ bool CacheConfig::policy_from_name(const char* name, CachePolicy* out) {
     *out = CachePolicy::Off;
     return true;
   }
-  if (std::strcmp(name, "perstart") == 0 || std::strcmp(name, "per-start") == 0) {
-    *out = CachePolicy::PerStart;
-    return true;
-  }
   if (std::strcmp(name, "shared") == 0) {
     *out = CachePolicy::Shared;
     return true;
@@ -33,7 +29,7 @@ CacheConfig CacheConfig::from_env() {
     if (policy_from_name(policy->c_str(), &parsed)) {
       config.policy = parsed;
     } else {
-      env::warn_invalid("VOLCAL_CACHE", *policy, "not one of off|perstart|shared",
+      env::warn_invalid("VOLCAL_CACHE", *policy, "not one of off|shared",
                         "policy off");
     }
   }

@@ -63,8 +63,8 @@
 namespace volcal {
 
 // Cache knob for a runner / sweep.  The environment form is what the bench
-// flag `--cache <off|perstart|shared>` exports:
-//   VOLCAL_CACHE    = off | perstart | shared   (default off)
+// flag `--cache <off|shared>` exports:
+//   VOLCAL_CACHE    = off | shared              (default off)
 //   VOLCAL_CACHE_MB = byte budget in MiB        (default 256)
 struct CacheConfig {
   CachePolicy policy = CachePolicy::Off;
@@ -182,22 +182,13 @@ class ViewCache {
   }
 
   // O(1) full invalidation: epoch bump; shards clear lazily on next touch.
-  // This is the *engine-internal* flush — bind()'s graph-change path and the
-  // PerStart policy's per-start scoping.  It is NOT the data-mutation signal:
-  // mutations go through graph/mutation.hpp and invalidate_region(), which
-  // evicts only the balls a structural delta can actually reach (and migrates
-  // the rest to the new storage identity).  The old public spelling,
-  // invalidate_all(), is a deprecated shim below (DESIGN.md ledger).
+  // This is the *engine-internal* flush — bind()'s graph-change path, or an
+  // owner of an attached cache switching graphs.  It is NOT the data-mutation
+  // signal: mutations go through graph/mutation.hpp and invalidate_region(),
+  // which evicts only the balls a structural delta can actually reach (and
+  // migrates the rest to the new storage identity).
   void invalidate() {
     epoch_.fetch_add(1, std::memory_order_acq_rel);
-  }
-
-  [[deprecated(
-      "full flush is not the mutation signal anymore: apply deltas via "
-      "MutationBatch (graph/mutation.hpp) and call invalidate_region(); "
-      "see the DESIGN.md deprecation ledger")]]
-  void invalidate_all() {
-    invalidate();
   }
 
   // Outcome of one invalidate_region sweep (entry counts across all shards).

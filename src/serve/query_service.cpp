@@ -409,7 +409,7 @@ void QueryService::worker_loop(int worker) {
   std::vector<Request> batch;
   std::vector<LatencySample> local_samples;
   NodeIndex centers[BatchedBallExecutor::kMaxBatch];
-  std::size_t slot_of[BatchedBallExecutor::kMaxBatch];
+  std::size_t request_of[BatchedBallExecutor::kMaxBatch];
   // Per-family volume histogram handle, re-resolved only when the served
   // family changes (i.e. across a hot swap) — lookups take the registry
   // mutex, so keep them off the per-wave path.
@@ -462,17 +462,16 @@ void QueryService::worker_loop(int worker) {
     local_samples.clear();
 
     if (target->plan.batchable()) {
-      // The fused path, mirroring ParallelRunner::run_batched_balls: serve
-      // full cache hits, run the misses as one wave-synchronous expansion,
-      // store completed expansions at the epoch captured before the batch.
+      // The fused path: invalid ids are answered at triage, the rest run as
+      // one cached ball wave — the same function ParallelRunner's batched
+      // sweeps use (runtime/batched_execution.hpp).
       if (!exec_bound || exec_token != g.storage_identity() ||
           exec_token == kAnonymousStorage) {
         exec.bind(g);
         exec_token = g.storage_identity();
         exec_bound = true;
       }
-      const std::uint64_t epoch = cache != nullptr ? cache->epoch() : 0;
-      int b = 0;
+      std::size_t valid = 0;
       for (std::size_t i = 0; i < batch.size(); ++i) {
         Request& req = batch[i];
         if (req.node < 0 || req.node >= static_cast<std::int64_t>(n)) {
@@ -483,49 +482,36 @@ void QueryService::worker_loop(int worker) {
           finish(req, result, ctx, local_samples);
           continue;
         }
-        const auto center = static_cast<NodeIndex>(req.node);
-        if (cache != nullptr) {
-          BallCosts costs;
-          if (cache->serve_costs(g, center, target->plan.radius, &costs)) {
-            QueryResult result;
-            result.label = static_cast<int>(costs.volume);
-            result.volume = costs.volume;
-            result.distance = costs.distance;
-            result.queries = costs.queries;
+        centers[valid] = static_cast<NodeIndex>(req.node);
+        request_of[valid] = i;
+        ++valid;
+      }
+      const auto answer = [&](std::size_t k, const BallCosts& costs) {
+        QueryResult result;
+        result.label = static_cast<int>(costs.volume);
+        result.volume = costs.volume;
+        result.distance = costs.distance;
+        result.queries = costs.queries;
+        finish(batch[request_of[k]], result, ctx, local_samples);
+      };
+      // exec_token is the storage identity of the snapshotted target; the
+      // wave's store() drops the misses' balls if a hot swap re-bound the
+      // cache after the wave captured its epoch.
+      run_cached_ball_wave(
+          exec, g, {centers, valid}, target->plan.radius, cache, exec_token,
+          [&](std::size_t k, const BallCosts& costs) {
             // A cache hit's execute slice collapses to its triage instant.
             ctx.cache_hit = true;
             ctx.exec_end = std::chrono::steady_clock::now();
-            finish(req, result, ctx, local_samples);
-            continue;
-          }
-        }
-        centers[b] = center;
-        slot_of[b] = i;
-        ++b;
-      }
-      ctx.cache_hit = false;
-      if (b > 0) {
-        exec.run({centers, static_cast<std::size_t>(b)}, target->plan.radius);
-        c_batches_->inc();
-        c_batched_starts_->inc(b);
-        ctx.exec_end = std::chrono::steady_clock::now();
-        for (int s = 0; s < b; ++s) {
-          QueryResult result;
-          result.label = static_cast<int>(exec.volume(s));
-          result.volume = exec.volume(s);
-          result.distance = exec.distance(s);
-          result.queries = exec.queries(s);
-          finish(batch[slot_of[s]], result, ctx, local_samples);
-        }
-        if (cache != nullptr) {
-          // exec_token is the storage identity of the snapshotted target;
-          // store() drops these balls if a hot swap re-bound the cache after
-          // we captured the epoch (entry tokens cover the residual window).
-          for (int s = 0; s < b; ++s) {
-            cache->store(centers[s], exec.take_ball(s), epoch, exec_token);
-          }
-        }
-      }
+            answer(k, costs);
+          },
+          [&](std::span<const std::size_t> index, std::span<const BallCosts> costs) {
+            c_batches_->inc();
+            c_batched_starts_->inc(static_cast<std::int64_t>(index.size()));
+            ctx.cache_hit = false;
+            ctx.exec_end = std::chrono::steady_clock::now();
+            for (std::size_t s = 0; s < index.size(); ++s) answer(index[s], costs[s]);
+          });
     } else {
       // Per-request path: the family's own solve() on a plain Execution —
       // by definition the offline per-start loop's answer.
@@ -549,7 +535,6 @@ void QueryService::worker_loop(int worker) {
 
     {
       std::lock_guard slock(stats_mu_);
-      latencies_.reserve(latencies_.size() + local_samples.size());
       for (const LatencySample& s : local_samples) {
         latencies_.push_back(s.latency_ns);
         if (window_ring_.size() < kWindowRingCapacity) {

@@ -4,12 +4,8 @@
 //   io/instance_io.hpp  load_instance / save_instance / sniff_format
 //   io/snapshot.hpp     versioned binary snapshots + mmap GraphView loader
 //   io/serialize.hpp    the text layer's typed writers/readers + DOT export
-//                       (re-exported here; direct includes are deprecated —
-//                       DESIGN.md, deprecation ledger)
 #pragma once
 
 #include "io/instance_io.hpp"
-#include "io/snapshot.hpp"
-
-#define VOLCAL_ALLOW_DIRECT_SERIALIZE_INCLUDE
 #include "io/serialize.hpp"
+#include "io/snapshot.hpp"

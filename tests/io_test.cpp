@@ -1,4 +1,3 @@
-#define VOLCAL_ALLOW_DIRECT_SERIALIZE_INCLUDE  // exercises the raw text layer
 #include "io/serialize.hpp"
 
 #include <gtest/gtest.h>

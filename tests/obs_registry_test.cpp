@@ -60,15 +60,15 @@ TEST(Counter, DeltaIncrementsAndNegativeDeltasSum) {
 }
 
 TEST(Histogram, BucketOfMatchesBitWidth) {
-  EXPECT_EQ(Histogram::bucket_of(-100), 0);
-  EXPECT_EQ(Histogram::bucket_of(0), 0);
-  EXPECT_EQ(Histogram::bucket_of(1), 1);
-  EXPECT_EQ(Histogram::bucket_of(2), 2);
-  EXPECT_EQ(Histogram::bucket_of(3), 2);
-  EXPECT_EQ(Histogram::bucket_of(4), 3);
-  EXPECT_EQ(Histogram::bucket_of(1023), 10);
-  EXPECT_EQ(Histogram::bucket_of(1024), 11);
-  EXPECT_EQ(Histogram::bucket_of(INT64_MAX), 63);
+  EXPECT_EQ(LogHistogram::bucket_of(-100), 0);
+  EXPECT_EQ(LogHistogram::bucket_of(0), 0);
+  EXPECT_EQ(LogHistogram::bucket_of(1), 1);
+  EXPECT_EQ(LogHistogram::bucket_of(2), 2);
+  EXPECT_EQ(LogHistogram::bucket_of(3), 2);
+  EXPECT_EQ(LogHistogram::bucket_of(4), 3);
+  EXPECT_EQ(LogHistogram::bucket_of(1023), 10);
+  EXPECT_EQ(LogHistogram::bucket_of(1024), 11);
+  EXPECT_EQ(LogHistogram::bucket_of(INT64_MAX), 63);
 }
 
 // The ISSUE's determinism pin: the same value multiset added from 1 thread
@@ -95,8 +95,8 @@ TEST(Histogram, ShardMergeIsDeterministicOneThreadVsEight) {
   }
   for (auto& th : threads) th.join();
 
-  const HistogramSnapshot a = one.snapshot();
-  const HistogramSnapshot b = eight.snapshot();
+  const LogHistogram a = one.snapshot();
+  const LogHistogram b = eight.snapshot();
   EXPECT_EQ(a, b);
   EXPECT_EQ(a.count, static_cast<std::int64_t>(values.size()));
 
@@ -113,7 +113,7 @@ TEST(Histogram, ShardMergeIsDeterministicOneThreadVsEight) {
 
 TEST(Histogram, EmptySnapshotIsZeroed) {
   Histogram h;
-  const HistogramSnapshot s = h.snapshot();
+  const LogHistogram s = h.snapshot();
   EXPECT_EQ(s.count, 0);
   EXPECT_EQ(s.sum, 0);
   EXPECT_EQ(s.min, 0);
@@ -126,13 +126,13 @@ TEST(Histogram, ApproxQuantileResolvesToUpperBucketBounds) {
   // 90 values in bucket 1 (value 1), 10 in bucket 7 (64..127 -> here 100).
   for (int i = 0; i < 90; ++i) h.add(1);
   for (int i = 0; i < 10; ++i) h.add(100);
-  const HistogramSnapshot s = h.snapshot();
+  const LogHistogram s = h.snapshot();
   // p50 lands in bucket 1, whose upper bound is (1<<1)-1 = 1 (exact here).
   EXPECT_EQ(s.approx_quantile(0.50), 1);
   // p99 lands in bucket 7: upper bound (1<<7)-1 = 127, a <= 2x overestimate.
   EXPECT_EQ(s.approx_quantile(0.99), 127);
   // Quantiles of an empty histogram are 0, not UB.
-  EXPECT_EQ(HistogramSnapshot{}.approx_quantile(0.99), 0);
+  EXPECT_EQ(LogHistogram{}.approx_quantile(0.99), 0);
 }
 
 TEST(MetricsRegistry, RegistrationIsIdempotentByName) {

@@ -7,7 +7,8 @@
 //   * executor exactness — BatchedBallExecutor reproduces explore_ball on a
 //     per-start Execution meter-for-meter (volume, distance, query count),
 //     including component exhaustion, duplicate centers in one batch, radius
-//     0 and executor reuse across runs;
+//     0 and executor reuse across runs — also through run_cached_ball_wave,
+//     whose cache hits and fused misses report the same meters;
 //   * sweep equivalence — run_planned on the Batched backend is bit-identical
 //     to the Basic backend for EVERY registry family under every cache policy
 //     at 1 and 8 threads (outputs, per-start costs, aggregate costs), with
@@ -30,16 +31,13 @@ namespace {
 TEST(ProbePlanIr, FactoriesNamesAndEligibility) {
   constexpr ProbePlan independent = ProbePlan::independent();
   constexpr ProbePlan ball = ProbePlan::batched_ball(4);
-  constexpr ProbePlan frontier = ProbePlan::shared_frontier(2);
   static_assert(!independent.batchable());
   static_assert(ball.batchable());
-  static_assert(frontier.batchable());
   EXPECT_EQ(independent.kind, PlanKind::IndependentStarts);
   EXPECT_EQ(ball.kind, PlanKind::BatchedBall);
   EXPECT_EQ(ball.radius, 4);
   EXPECT_STREQ(independent.name(), "independent-starts");
   EXPECT_STREQ(ball.name(), "batched-ball");
-  EXPECT_STREQ(frontier.name(), "shared-frontier");
   EXPECT_EQ(ball, ProbePlan::batched_ball(4));
   EXPECT_NE(ball, ProbePlan::batched_ball(3));
   EXPECT_NE(ball, independent);
@@ -116,6 +114,41 @@ void expect_executor_matches(const Graph& g, const IdAssignment& ids,
   }
 }
 
+// What one run_cached_ball_wave reported, each answer checked against the
+// per-start reference meters.
+struct WaveReport {
+  std::vector<std::size_t> hits;   // indices into the wave's centers
+  std::vector<std::size_t> fused;  // likewise, in slot order
+  int fused_calls = 0;
+};
+
+WaveReport run_wave_checked(const Graph& g, const IdAssignment& ids,
+                            BatchedBallExecutor& exec, ViewCache& cache,
+                            const std::vector<NodeIndex>& centers, std::int64_t radius) {
+  WaveReport report;
+  const auto expect_exact = [&](std::size_t i, const BallCosts& costs) {
+    const BallMeters ref = reference_ball(g, ids, centers[i], radius);
+    EXPECT_EQ(costs.volume, ref.volume) << "center " << centers[i];
+    EXPECT_EQ(costs.distance, ref.distance) << "center " << centers[i];
+    EXPECT_EQ(costs.queries, ref.queries) << "center " << centers[i];
+  };
+  run_cached_ball_wave(
+      exec, g, {centers.data(), centers.size()}, radius, &cache,
+      g.view().storage_identity(),
+      [&](std::size_t i, const BallCosts& costs) {
+        report.hits.push_back(i);
+        expect_exact(i, costs);
+      },
+      [&](std::span<const std::size_t> index, std::span<const BallCosts> costs) {
+        ++report.fused_calls;
+        for (std::size_t s = 0; s < index.size(); ++s) {
+          report.fused.push_back(index[s]);
+          expect_exact(index[s], costs[s]);
+        }
+      });
+  return report;
+}
+
 TEST(BatchedBallExecutor, MatchesExploreBallMeters) {
   const auto inst = make_complete_binary_tree(7, Color::Red, Color::Blue);  // 255 nodes
   BatchedBallExecutor exec;
@@ -128,6 +161,36 @@ TEST(BatchedBallExecutor, MatchesExploreBallMeters) {
   for (const std::int64_t radius : {0, 1, 4, 7, 16}) {
     expect_executor_matches(inst.graph, inst.ids, centers, radius, exec);
   }
+
+  // The cached ball wave: a mixed wave (two warm hits, a duplicated cold
+  // center, one more miss) answers every center once, exactly; repeating it
+  // is an all-hit wave, which neither runs an executor nor takes the miss
+  // path.
+  CacheConfig cfg;
+  cfg.policy = CachePolicy::Shared;
+  ViewCache cache(cfg);
+  cache.bind(inst.graph);
+  constexpr std::int64_t kRadius = 4;
+  run_wave_checked(inst.graph, inst.ids, exec, cache, {0, 10}, kRadius);
+  const std::vector<NodeIndex> mixed = {10, 3, 0, 3, 200};
+  const WaveReport first = run_wave_checked(inst.graph, inst.ids, exec, cache, mixed, kRadius);
+  EXPECT_EQ(first.hits, (std::vector<std::size_t>{0, 2}));
+  EXPECT_EQ(first.fused, (std::vector<std::size_t>{1, 3, 4}));
+  EXPECT_EQ(first.fused_calls, 1);
+  EXPECT_EQ(cache.entry_count(), 4U);
+
+  const CacheStats before = cache.stats();
+  BatchedBallExecutor idle;
+  idle.bind(inst.graph);
+  const WaveReport again = run_wave_checked(inst.graph, inst.ids, idle, cache, mixed, kRadius);
+  EXPECT_EQ(again.hits, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(again.fused_calls, 0);
+  EXPECT_EQ(idle.waves(), 0);  // run() was never called
+  const CacheStats after = cache.stats();
+  EXPECT_EQ(after.hits - before.hits, static_cast<std::int64_t>(mixed.size()));
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.inserted_bytes, before.inserted_bytes);
+  EXPECT_EQ(cache.entry_count(), 4U);
 }
 
 TEST(BatchedBallExecutor, DuplicateCentersShareOneSlotEach) {
@@ -191,8 +254,7 @@ TEST(PlannedSweep, BatchedBitIdenticalForEveryFamilyPolicyAndThreadCount) {
     EXPECT_EQ(baseline.stats.backend, ExecBackend::Basic) << entry->name;
     EXPECT_EQ(baseline.stats.plan, entry->plan.kind) << entry->name;
 
-    for (const CachePolicy policy :
-         {CachePolicy::Off, CachePolicy::PerStart, CachePolicy::Shared}) {
+    for (const CachePolicy policy : {CachePolicy::Off, CachePolicy::Shared}) {
       for (const int threads : {1, 8}) {
         CacheConfig cfg;
         cfg.policy = policy;

@@ -177,10 +177,17 @@ TEST(ViewCache, CacheConfigFromEnvParsing) {
   CacheConfig c = CacheConfig::from_env();
   EXPECT_EQ(c.policy, CachePolicy::Shared);
   EXPECT_EQ(c.byte_budget, std::size_t{32} << 20);
-  ASSERT_EQ(setenv("VOLCAL_CACHE", "perstart", 1), 0);
-  EXPECT_EQ(CacheConfig::from_env().policy, CachePolicy::PerStart);
-  ASSERT_EQ(setenv("VOLCAL_CACHE", "per-start", 1), 0);
-  EXPECT_EQ(CacheConfig::from_env().policy, CachePolicy::PerStart);
+  // `perstart` / `per-start` name no policy: Off, with exactly one warning.
+  for (const char* removed : {"perstart", "per-start"}) {
+    SCOPED_TRACE(removed);
+    env::reset_warnings_for_testing();
+    ASSERT_EQ(setenv("VOLCAL_CACHE", removed, 1), 0);
+    EXPECT_EQ(CacheConfig::from_env().policy, CachePolicy::Off);
+    EXPECT_EQ(env::warning_count_for_testing(), 1);
+  }
+  CachePolicy parsed = CachePolicy::Shared;
+  EXPECT_FALSE(CacheConfig::policy_from_name("perstart", &parsed));
+  EXPECT_EQ(parsed, CachePolicy::Shared);  // untouched on rejection
   ASSERT_EQ(setenv("VOLCAL_CACHE", "not-a-policy", 1), 0);
   EXPECT_EQ(CacheConfig::from_env().policy, CachePolicy::Off);  // safe default
   ASSERT_EQ(setenv("VOLCAL_CACHE", "off", 1), 0);
@@ -240,8 +247,7 @@ TEST(ViewCacheSweep, EveryRegistryFamilyIsPolicyAndThreadInvariant) {
     auto solver = [&](Execution& exec) { return inst.solve(exec); };
     const auto baseline = ParallelRunner(1, policy_config(CachePolicy::Off))
                               .run_at_all_nodes(inst.graph(), inst.ids(), solver);
-    for (const CachePolicy policy :
-         {CachePolicy::Off, CachePolicy::PerStart, CachePolicy::Shared}) {
+    for (const CachePolicy policy : {CachePolicy::Off, CachePolicy::Shared}) {
       for (const int threads : {1, 8}) {
         const auto run = ParallelRunner(threads, policy_config(policy))
                              .run_at_all_nodes(inst.graph(), inst.ids(), solver);
@@ -281,16 +287,6 @@ TEST(ViewCacheSweep, SharedPolicyHitsOnRepeatedStarts) {
       EXPECT_GT(shared.stats.cache.served_nodes, 0);
     }
   }
-  // PerStart scopes the cache to one start: the same sweep is structurally
-  // hit-free (each start's single explore_ball misses its fresh cache) — the
-  // bisection rung between Off and Shared.
-  const auto per_start = ParallelRunner(1, policy_config(CachePolicy::PerStart))
-                             .run_at(inst.graph, inst.ids, starts, solver);
-  EXPECT_EQ(off.output, per_start.output);
-  EXPECT_TRUE(same_costs(off.stats, per_start.stats));
-  EXPECT_EQ(per_start.stats.cache.hits, 0);
-  EXPECT_EQ(per_start.stats.cache.misses,
-            static_cast<std::int64_t>(starts.size()));
 }
 
 TEST(ViewCacheSweep, AttachedPersistentCacheServesAcrossSweeps) {

@@ -36,7 +36,7 @@ import sys
 
 ARTIFACT_SCHEMA_VERSION = 2
 MIN_ARTIFACT_SCHEMA_VERSION = 1  # v1 = pre-view-cache, no "cache" block
-CACHE_POLICIES = ("off", "perstart", "shared")
+CACHE_POLICIES = ("off", "shared")
 CACHE_COUNTERS = ("hits", "misses", "evictions", "served_nodes",
                   "inserted_bytes")
 BACKENDS = ("basic", "batched")
