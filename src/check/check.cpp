@@ -439,24 +439,39 @@ CheckResult check_cache_case(const FuzzCase& c) {
   const ErasedInstance inst = entry->make_variant(c.n_target, c.instance_seed, c.variant);
   const NodeIndex n = inst.node_count();
   if (n <= 0) return fail("generator produced an empty instance");
-  const std::vector<NodeIndex> starts = case_starts(c, n);
+  // The case's starts listed twice: the second copy asks again for every
+  // ball the first copy stored, so the sweep-scoped cache has hits to serve.
+  const std::vector<NodeIndex> once = case_starts(c, n);
+  std::vector<NodeIndex> starts = once;
+  starts.insert(starts.end(), once.begin(), once.end());
   const std::span<const NodeIndex> span(starts);
+  const ProbePlan plan = entry->plan;
 
-  RandomTape tape(inst.ids(), c.tape_seed, c.model);
   auto solve = [&](auto& exec) { return inst.solve(exec); };
   auto config = [](CachePolicy p) {
     CacheConfig cfg;
     cfg.policy = p;
     return cfg;
   };
-  const auto baseline = ParallelRunner(1, config(CachePolicy::Off))
-                            .run_at(inst.graph(), inst.ids(), span, solve, c.budget, &tape);
-  const CachePolicy policy = CachePolicy::Shared;
+  ParallelRunner base_runner(1, config(CachePolicy::Off));
+  base_runner.set_backend(ExecBackend::Basic);
+  const auto baseline = base_runner.run_planned(inst.graph(), inst.ids(), span, plan, solve);
+
+  // Serially, batches run one after another and a wave looks every center up
+  // before it stores any, so a second copy hits exactly when its first copy
+  // ran in an earlier batch — every one of them once the case has at least
+  // kMaxBatch starts.
+  constexpr auto kBatch = static_cast<std::size_t>(BatchedBallExecutor::kMaxBatch);
+  std::int64_t serial_hits = 0;
+  for (std::size_t i = 0; i < once.size(); ++i) {
+    if ((i + once.size()) / kBatch != i / kBatch) ++serial_hits;
+  }
+
   for (const int threads : {1, 8}) {
-    const auto run = ParallelRunner(threads, config(policy))
-                         .run_at(inst.graph(), inst.ids(), span, solve, c.budget, &tape);
-    const std::string where = std::string(cache_policy_name(policy)) + " at " +
-                              std::to_string(threads) + " thread(s)";
+    ParallelRunner runner(threads, config(CachePolicy::Shared));
+    runner.set_backend(ExecBackend::Batched);
+    const auto run = runner.run_planned(inst.graph(), inst.ids(), span, plan, solve);
+    const std::string where = "shared at " + std::to_string(threads) + " thread(s)";
     if (baseline.output != run.output) return fail("cache: outputs diverge under " + where);
     if (baseline.volume != run.volume || baseline.distance != run.distance ||
         baseline.queries != run.queries) {
@@ -465,25 +480,26 @@ CheckResult check_cache_case(const FuzzCase& c) {
     if (!same_costs(baseline.stats, run.stats)) {
       return fail("cache: aggregate costs diverge under " + where);
     }
-    if (run.stats.cache.policy != policy) {
-      return fail("cache: sweep stats tagged with the wrong policy under " + where);
+    const CacheStats& cache = run.stats.cache;
+    if (!plan.batchable()) {
+      // The per-start loop consults no cache, whatever the policy.
+      if (cache.policy != CachePolicy::Off || cache.hits != 0 || cache.misses != 0 ||
+          cache.inserted_bytes != 0) {
+        return fail("cache: per-start sweep reports cache traffic under " + where);
+      }
+      continue;
     }
-  }
-
-  // Recording executions must take the direct path: identical results with
-  // every cache counter untouched.
-  obs::TraceRecorder recorder;
-  const auto traced =
-      obs::run_at_traced(ParallelRunner(2, config(CachePolicy::Shared)), inst.graph(),
-                         inst.ids(), span, solve, recorder, c.budget, &tape);
-  if (baseline.output != traced.output || baseline.volume != traced.volume ||
-      baseline.distance != traced.distance || baseline.queries != traced.queries ||
-      !same_costs(baseline.stats, traced.stats)) {
-    return fail("cache: traced sweep diverges from the uncached flat sweep");
-  }
-  if (traced.stats.cache.hits != 0 || traced.stats.cache.misses != 0 ||
-      traced.stats.cache.served_nodes != 0) {
-    return fail("cache: traced sweep touched the view cache (recording must bypass it)");
+    if (cache.policy != CachePolicy::Shared) {
+      return fail("cache: batched sweep stats tagged with the wrong policy under " + where);
+    }
+    if (run.stats.batch.batched_starts + cache.hits !=
+        static_cast<std::int64_t>(starts.size())) {
+      return fail("cache: batched starts + cache hits != starts under " + where);
+    }
+    if (threads == 1 && cache.hits != serial_hits) {
+      return fail("cache: " + std::to_string(cache.hits) + " serial hits, expected " +
+                  std::to_string(serial_hits));
+    }
   }
   return {};
 }
@@ -809,12 +825,12 @@ CheckResult check_mutation_case(const FuzzCase& c) {
   }
 
   // --- warm cache + region invalidation: retained entries must serve the
-  // new graph bit-identically to cold recomputation -------------------------
-  const std::int64_t radius = entry->plan.batchable() ? entry->plan.radius : 64;
-  ViewCache cache(config(CachePolicy::Shared));
-  cache.bind(g0);
-  ExecutionScratch scratch;
+  // new graph bit-identically to cold recomputation.  Only batchable plans
+  // fill the cache, always at their plan radius ------------------------------
   if (entry->plan.batchable()) {
+    const std::int64_t radius = entry->plan.radius;
+    ViewCache cache(config(CachePolicy::Shared));
+    cache.bind(g0);
     BatchedBallExecutor warm;
     warm.bind(g0);
     NodeIndex centers[BatchedBallExecutor::kMaxBatch];
@@ -826,26 +842,17 @@ CheckResult check_mutation_case(const FuzzCase& c) {
         cache.store(centers[s], warm.take_ball(s), cache.epoch(), g0.storage_identity());
       }
     }
-  } else {
-    for (NodeIndex v = 0; v < n; ++v) {
-      Execution e(g0, inst.ids(), v, 0, scratch);
-      e.attach_view_cache(&cache);
-      (void)inst.solve(e);
+    const std::size_t warm_entries = cache.entry_count();
+    const auto inv = cache.invalidate_region(g0, touched, radius, gm.storage_identity());
+    if (inv.fell_back_to_flush) {
+      return fail("mutation: invalidate_region fell back to the full flush");
     }
-  }
-  const std::size_t warm_entries = cache.entry_count();
-  const auto inv =
-      cache.invalidate_region(g0, touched, radius, gm.storage_identity());
-  if (inv.fell_back_to_flush) {
-    return fail("mutation: invalidate_region fell back to the full flush");
-  }
-  if (inv.evicted + inv.retained != warm_entries) {
-    return fail("mutation: invalidate_region accounting does not cover the warm set");
-  }
-  if (touched.empty() && inv.evicted != 0) {
-    return fail("mutation: label-only batch evicted cached balls");
-  }
-  if (entry->plan.batchable()) {
+    if (inv.evicted + inv.retained != warm_entries) {
+      return fail("mutation: invalidate_region accounting does not cover the warm set");
+    }
+    if (touched.empty() && inv.evicted != 0) {
+      return fail("mutation: label-only batch evicted cached balls");
+    }
     BatchedBallExecutor cold;
     cold.bind(gm);
     std::size_t hits = 0;
@@ -868,21 +875,6 @@ CheckResult check_mutation_case(const FuzzCase& c) {
       return fail("mutation: " + std::to_string(inv.retained) +
                   " retained full-depth balls but " + std::to_string(hits) +
                   " post-mutation cache hits");
-    }
-  } else {
-    for (NodeIndex v = 0; v < n; ++v) {
-      Execution cold(gm, mut.ids(), v, 0, scratch);
-      const int cold_label = mut.solve(cold);
-      Execution warm_exec(gm, mut.ids(), v, 0, scratch);
-      warm_exec.attach_view_cache(&cache);
-      const int warm_label = mut.solve(warm_exec);
-      if (cold_label != warm_label || cold.volume() != warm_exec.volume() ||
-          cold.distance() != warm_exec.distance() ||
-          cold.query_count() != warm_exec.query_count()) {
-        return fail(
-            "mutation: region-invalidated cache diverges from cold execution at node " +
-            std::to_string(v));
-      }
     }
   }
 

@@ -71,11 +71,14 @@ struct CheckResult {
 // (unknown family, out-of-range variant) come back as failures.
 CheckResult check_case(const FuzzCase& c);
 
-// Cache-policy differential (runtime/view_cache.hpp): the same sweep under
-// CachePolicy Shared, at 1 and 8 threads, must be bit-identical to the Off
-// sweep in outputs and per-start/aggregate costs, and a traced sweep on a
-// cache-enabled runner must bypass the cache entirely (zero counters,
-// identical results).  Run by the driver when --cache is set.
+// Cache-policy differential (runtime/view_cache.hpp): the family's planned
+// sweep over the case's starts listed twice, on the Batched backend under
+// CachePolicy Shared at 1 and 8 threads, must be bit-identical to the Basic
+// backend with the cache off in outputs and per-start/aggregate costs.  On
+// batchable plans every start is either fused or a cache hit, and the
+// serial sweep serves exactly the repeats whose first copy ran in an earlier
+// batch; other plans run per-start and report no cache traffic.  Run by the
+// driver when --cache is set.
 CheckResult check_cache_case(const FuzzCase& c);
 
 // Backend differential (plan/probe_plan.hpp + runtime/batched_execution.hpp):
@@ -103,8 +106,9 @@ CheckResult check_snapshot_case(const FuzzCase& c);
 // byte-identical graphs, the mutated instance sweeps bit-identically to the
 // naive rebuild on the Basic and Batched backends under every cache policy
 // at 1 and 8 threads, the pre-mutation instance is untouched (copy-on-
-// write), and a Shared cache warmed on the old graph then region-invalidated
-// serves post-mutation queries bit-identical to cold recomputation, with
+// write), and — for batchable plans, the only ones that fill the cache — a
+// Shared cache warmed on the old graph then region-invalidated serves
+// post-mutation queries bit-identical to cold recomputation, with
 // eviction/retention accounting exact.  Run by the driver when --mutate is
 // set.
 CheckResult check_mutation_case(const FuzzCase& c);

@@ -13,6 +13,7 @@ void BatchedBallExecutor::bind(GraphView g) {
     gather_stamp_.resize(n, 0);
     gather_pos_.resize(n, 0);
   }
+  order_.resize(static_cast<std::size_t>(kMaxBatch));
   balls_.resize(static_cast<std::size_t>(kMaxBatch));
 }
 
@@ -32,14 +33,15 @@ void BatchedBallExecutor::run(std::span<const NodeIndex> centers, std::int64_t r
   std::uint64_t active = batch == kMaxBatch ? ~std::uint64_t{0}
                                             : (std::uint64_t{1} << batch) - 1;
   for (int b = 0; b < batch; ++b) {
+    std::vector<NodeIndex>& order = order_[static_cast<std::size_t>(b)];
     CachedBall& ball = balls_[static_cast<std::size_t>(b)];
-    ball.order.clear();
+    order.clear();
     ball.level_end.clear();
     ball.cum_queries.clear();
     ball.depth = 0;
     ball.exhausted = false;
     const NodeIndex center = centers[static_cast<std::size_t>(b)];
-    ball.order.push_back(center);
+    order.push_back(center);
     ball.level_end.push_back(1);
     ball.cum_queries.push_back(0);
     auto& mask = visited_mask_[static_cast<std::size_t>(center)];
@@ -59,17 +61,18 @@ void BatchedBallExecutor::run(std::span<const NodeIndex> centers, std::int64_t r
     wave_adj_.clear();
     for (int b = 0; b < batch; ++b) {
       if ((active >> b & 1) == 0) continue;
+      const std::vector<NodeIndex>& order = order_[static_cast<std::size_t>(b)];
       const CachedBall& ball = balls_[static_cast<std::size_t>(b)];
       const auto lb = static_cast<std::size_t>(level == 0 ? 0 : ball.level_end[level - 1]);
       const auto le = static_cast<std::size_t>(ball.level_end[level]);
       for (std::size_t head = lb; head < le; ++head) {
-        const auto v = static_cast<std::size_t>(ball.order[head]);
+        const auto v = static_cast<std::size_t>(order[head]);
         if (gather_stamp_[v] == stamp_) continue;
         gather_stamp_[v] = stamp_;
         gather_pos_[v] = static_cast<std::uint32_t>(wave_nodes_.size());
-        wave_nodes_.push_back(ball.order[head]);
+        wave_nodes_.push_back(order[head]);
         wave_off_.push_back(wave_adj_.size());
-        const auto nb = g.neighbors(ball.order[head]);
+        const auto nb = g.neighbors(order[head]);
         wave_adj_.insert(wave_adj_.end(), nb.begin(), nb.end());
       }
     }
@@ -80,12 +83,13 @@ void BatchedBallExecutor::run(std::span<const NodeIndex> centers, std::int64_t r
     // gathered buffer.  Freshness is one bit test per discovered neighbor.
     for (int b = 0; b < batch; ++b) {
       if ((active >> b & 1) == 0) continue;
+      std::vector<NodeIndex>& order = order_[static_cast<std::size_t>(b)];
       CachedBall& ball = balls_[static_cast<std::size_t>(b)];
       const auto lb = static_cast<std::size_t>(level == 0 ? 0 : ball.level_end[level - 1]);
       const auto le = static_cast<std::size_t>(ball.level_end[level]);
       if (lb == le) {
-        // Matches detail::extend_cached_ball: an empty frontier before the
-        // target radius marks exhaustion without pushing a level.
+        // An empty frontier before the target radius: the ball is its whole
+        // component, so the slot is exhausted at this depth (no level pushed).
         ball.exhausted = true;
         active &= ~(std::uint64_t{1} << b);
         continue;
@@ -93,7 +97,7 @@ void BatchedBallExecutor::run(std::span<const NodeIndex> centers, std::int64_t r
       const std::uint64_t bit = std::uint64_t{1} << b;
       std::int64_t queries = ball.cum_queries[level];
       for (std::size_t head = lb; head < le; ++head) {
-        const auto v = static_cast<std::size_t>(ball.order[head]);
+        const auto v = static_cast<std::size_t>(order[head]);
         const std::size_t off = wave_off_[gather_pos_[v]];
         const std::size_t end = wave_off_[gather_pos_[v] + 1];
         // explore_ball queries every port of every frontier node, fresh or
@@ -105,11 +109,11 @@ void BatchedBallExecutor::run(std::span<const NodeIndex> centers, std::int64_t r
           if ((mask & bit) == 0) {
             if (mask == 0) touched_.push_back(u);
             mask |= bit;
-            ball.order.push_back(u);
+            order.push_back(u);
           }
         }
       }
-      ball.level_end.push_back(static_cast<std::int64_t>(ball.order.size()));
+      ball.level_end.push_back(static_cast<std::int64_t>(order.size()));
       ball.cum_queries.push_back(queries);
       ++ball.depth;
     }

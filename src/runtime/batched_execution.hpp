@@ -8,8 +8,8 @@
 //
 //   * one visited bitmask word per graph node (bit b = "visited by slot b"),
 //     so the freshness state of 64 concurrent executions costs 8 bytes per
-//     node — against 16 bytes *per node per start* of stamp+layer scratch on
-//     the per-start path;
+//     node — what the stamp+layer scratch of a *single* per-start execution
+//     costs (runtime/execution.hpp);
 //   * per wave, pass 1 gathers the adjacency of every node in the *union* of
 //     the slot frontiers exactly once into one contiguous buffer (the
 //     probe-level common-subexpression elimination: each edge is read from
@@ -22,14 +22,17 @@
 // discovery order and scans ports in ascending order, so every slot produces
 // the *canonical* BFS expansion — bit-identical discovery order, level
 // windows and per-level query counts to explore_ball on a BasicExecution.
-// The output is a CachedBall per slot (runtime/view_cache.hpp), directly
-// insertable into a shared ViewCache; per-slot volume / distance / query
-// meters are read off the ball exactly as install_ball_prefix would advance
-// them.  Exhaustion matches detail::extend_cached_ball: an empty frontier
-// before the target radius marks the slot exhausted without pushing a level.
+// Each slot keeps its discovery order in the executor (reused across runs)
+// and its per-depth summary as a CachedBall (runtime/view_cache.hpp),
+// directly insertable into a shared ViewCache; per-slot volume / distance /
+// query meters are read off the slot.  Exhaustion is the executor's own
+// rule: a slot whose level-d frontier is empty before the target radius is
+// marked exhausted at depth d without pushing a level, and serve_costs then
+// answers any radius from it.
 //
 // One executor per worker thread; run() reuses all capacity across batches
-// (zero steady-state allocations).  Not thread-safe — the parallel engine
+// (zero steady-state allocations, apart from the summaries take_ball moves
+// out).  Not thread-safe — the parallel engine
 // gives each worker its own instance, as it does with ExecutionScratch.
 #pragma once
 
@@ -62,7 +65,7 @@ class BatchedBallExecutor {
   // Per-slot cost meters, exactly what a BasicExecution running
   // explore_ball(center, radius) would report.
   std::int64_t volume(int slot) const {
-    return static_cast<std::int64_t>(balls_[static_cast<std::size_t>(slot)].order.size());
+    return static_cast<std::int64_t>(order_[static_cast<std::size_t>(slot)].size());
   }
   std::int64_t distance(int slot) const {
     return balls_[static_cast<std::size_t>(slot)].max_layer(radius_);
@@ -71,13 +74,9 @@ class BatchedBallExecutor {
     return balls_[static_cast<std::size_t>(slot)].cum_queries.back();
   }
 
-  const CachedBall& ball(int slot) const {
-    return balls_[static_cast<std::size_t>(slot)];
-  }
-
-  // Moves the slot's canonical expansion out (for ViewCache::store).  The
-  // slot's meters are dead afterwards; the next run() reuses whatever
-  // capacity the move left behind.
+  // Moves the slot's per-depth summary out (for ViewCache::store).  The
+  // slot's distance and query meters are dead afterwards; its discovery
+  // order stays with the executor for the next run() to reuse.
   CachedBall take_ball(int slot) {
     return std::move(balls_[static_cast<std::size_t>(slot)]);
   }
@@ -108,6 +107,9 @@ class BatchedBallExecutor {
   std::vector<std::size_t> wave_off_;
   std::vector<NodeIndex> wave_adj_;
 
+  // Per slot: discovery order (the ball N_center(d) is order_[0 ..
+  // level_end[d])) and the per-depth summary take_ball hands out.
+  std::vector<std::vector<NodeIndex>> order_;
   std::vector<CachedBall> balls_;
 };
 

@@ -128,7 +128,7 @@ void note_sweep(const SweepStats& stats);
 class ParallelRunner {
  public:
   // threads == 0: use VOLCAL_THREADS if set, else 1.  The cache policy for
-  // the runner's sweeps defaults to the environment (VOLCAL_CACHE /
+  // the runner's batched sweeps defaults to the environment (VOLCAL_CACHE /
   // VOLCAL_CACHE_MB — off unless set), so `--cache shared` reaches every
   // runner a bench builds; pass a CacheConfig to pin it programmatically.
   explicit ParallelRunner(int threads = 0)
@@ -146,13 +146,6 @@ class ParallelRunner {
   // and never batch.
   void set_backend(ExecBackend backend) { backend_ = backend; }
   ExecBackend backend() const { return backend_; }
-
-  // Routes Shared-policy sweeps through a caller-owned ViewCache instead of
-  // a sweep-scoped one, so warm entries persist across sweeps on the same
-  // graph (the serving regime of the bench_runner cache ablation).  The
-  // caller keeps the cache alive for the runner's lifetime and re-binds (or
-  // invalidates) it when switching graphs.
-  void attach_cache(ViewCache* cache) { external_cache_ = cache; }
 
   // The engine core.  `make_exec(i, scratch)` builds the execution for start
   // slot i on the worker's scratch; the default factory (run_at below) makes
@@ -185,19 +178,6 @@ class ParallelRunner {
     std::atomic<std::int64_t> next{0};
     std::vector<std::int64_t> truncated(static_cast<std::size_t>(workers), 0);
 
-    // View-cache scope: one cache for the whole sweep (the attached
-    // persistent one when present, else sweep-scoped under Shared).
-    // Execution factories whose type has no attach_view_cache (the test-only
-    // map reference) simply run uncached.
-    ViewCache* shared_cache = external_cache_;
-    std::optional<ViewCache> sweep_cache;
-    if (shared_cache == nullptr && cache_config_.policy == CachePolicy::Shared) {
-      sweep_cache.emplace(cache_config_);
-      shared_cache = &*sweep_cache;
-    }
-    const CacheStats cache_before =
-        shared_cache != nullptr ? shared_cache->stats() : CacheStats{};
-
     detail::run_on_workers(workers, [&](const int worker) {
       ExecutionScratch scratch(node_capacity);
       std::optional<RandomTape::ScopedUsage> usage;
@@ -210,9 +190,6 @@ class ParallelRunner {
           const auto exec_begin = profile ? std::chrono::steady_clock::now() : sweep_begin;
           {
             Exec exec = make_exec(i, scratch);
-            if constexpr (requires { exec.attach_view_cache(nullptr); }) {
-              if (shared_cache != nullptr) exec.attach_view_cache(shared_cache);
-            }
             try {
               output[static_cast<std::size_t>(i)] = static_cast<OutputSlot>(solver(exec));
             } catch (const QueryBudgetExceeded&) {
@@ -247,7 +224,7 @@ class ParallelRunner {
     for (int w = 0; w < workers; ++w) {
       result.stats.truncated += truncated[static_cast<std::size_t>(w)];
     }
-    finish_sweep(result, shared_cache, cache_before, sweep_begin);
+    finish_sweep(result, sweep_begin);
     return result;
   }
 
@@ -284,10 +261,11 @@ class ParallelRunner {
   // integral output (the plan's contract is output == ball size).  Everything
   // else takes the per-start loop with the plan recorded in the stats.
   //
-  // Cache composition on the batched path: under Shared (or an attached
-  // cache) each batch is one run_cached_ball_wave — full hits are served
-  // from the cache, only the misses are fused, and every completed expansion
-  // is stored; under Off every start is fused.
+  // The view cache lives on the batched path only: under Shared one
+  // sweep-scoped cache backs every batch's run_cached_ball_wave — full hits
+  // are served from it, only the misses are fused, and every completed
+  // expansion is stored; under Off every start is fused.  The per-start loop
+  // consults no cache and reports stats.cache as off with zero counters.
   template <typename Solver>
   auto run_planned(GraphView g, const IdAssignment& ids,
                    std::span<const NodeIndex> starts, const ProbePlan& plan,
@@ -330,15 +308,12 @@ class ParallelRunner {
     constexpr std::int64_t kBatch = BatchedBallExecutor::kMaxBatch;
     std::atomic<std::int64_t> next{0};
 
-    ViewCache* shared_cache = external_cache_;
-    std::optional<ViewCache> sweep_cache;
-    if (shared_cache == nullptr && cache_config_.policy == CachePolicy::Shared) {
-      sweep_cache.emplace(cache_config_);
-      shared_cache = &*sweep_cache;
+    std::optional<ViewCache> cache;
+    if (cache_config_.policy == CachePolicy::Shared) {
+      cache.emplace(cache_config_);
+      cache->bind(g);
     }
-    if (shared_cache != nullptr) shared_cache->bind(g);
-    const CacheStats cache_before =
-        shared_cache != nullptr ? shared_cache->stats() : CacheStats{};
+    ViewCache* const shared_cache = cache ? &*cache : nullptr;
     std::vector<BatchStats> worker_batch(static_cast<std::size_t>(workers));
 
     detail::run_on_workers(workers, [&](const int worker) {
@@ -402,16 +377,16 @@ class ParallelRunner {
         profile->worker_waves[static_cast<std::size_t>(w)] = wb.waves;
       }
     }
-    finish_sweep(result, shared_cache, cache_before, sweep_begin);
+    if (cache) result.stats.cache = cache->stats();
+    finish_sweep(result, sweep_begin);
     return result;
   }
 
   // The tail both engine loops share: the serial sup/total scan of the slot
-  // vectors (order-independent, hence deterministic), the cache-counter
-  // delta, wall time, and the fold into the global metrics.
+  // vectors (order-independent, hence deterministic), wall time, and the
+  // fold into the global metrics.
   template <typename Label>
-  static void finish_sweep(SweepResult<Label>& result, const ViewCache* shared_cache,
-                           const CacheStats& cache_before,
+  static void finish_sweep(SweepResult<Label>& result,
                            std::chrono::steady_clock::time_point sweep_begin) {
     SweepStats& stats = result.stats;
     stats.starts = static_cast<std::int64_t>(result.volume.size());
@@ -421,10 +396,6 @@ class ParallelRunner {
       stats.total_volume += result.volume[i];
       stats.total_queries += result.queries[i];
     }
-    if (shared_cache != nullptr) {
-      stats.cache = shared_cache->stats() - cache_before;
-      stats.cache.policy = CachePolicy::Shared;  // sweep-scoped or attached
-    }
     stats.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - sweep_begin).count();
     detail::note_sweep(stats);
@@ -432,7 +403,6 @@ class ParallelRunner {
 
   int threads_;
   CacheConfig cache_config_;
-  ViewCache* external_cache_ = nullptr;
   ExecBackend backend_ = backend_from_env();
 };
 

@@ -20,13 +20,15 @@
 
 namespace volcal {
 
-// Ball-view memoization policy for a sweep (runtime/view_cache.hpp).
-//   Off    — every explore_ball performs its queries directly (default);
-//   Shared — one cache shared by all starts (and workers) of the sweep:
-//            repeated centers are served from memory.
-// The policy never changes any deterministic output: served balls replay the
-// exact query outcome the direct path would produce, and the cost meters
-// (volume / distance / query count, Defs. 2.1-2.2) advance identically.
+// Ball-cost memoization policy for batched sweeps and the query service
+// (runtime/view_cache.hpp); per-start sweeps consult no cache.
+//   Off    — every ball wave fuses all of its centers (default);
+//   Shared — one cache shared by all batches (and workers) of the sweep, or
+//            by all requests of the service: repeated centers are served
+//            from memory.
+// The policy never changes any deterministic output: a served ball reports
+// exactly the cost meters (volume / distance / query count, Defs. 2.1-2.2)
+// its direct exploration would.
 enum class CachePolicy { Off, Shared };
 
 constexpr const char* cache_policy_name(CachePolicy p) {
@@ -39,10 +41,10 @@ constexpr const char* cache_policy_name(CachePolicy p) {
 // (the *outputs* stay bit-identical; only these bookkeeping counters vary).
 struct CacheStats {
   CachePolicy policy = CachePolicy::Off;
-  std::int64_t hits = 0;            // lookups served (fully or by prefix)
-  std::int64_t misses = 0;          // lookups that built the ball directly
+  std::int64_t hits = 0;            // lookups served from the cache
+  std::int64_t misses = 0;          // lookups whose ball was rebuilt
   std::int64_t evictions = 0;       // entries dropped to honor the byte budget
-  std::int64_t served_nodes = 0;    // visited-set entries installed from cache
+  std::int64_t served_nodes = 0;    // summed volume of the balls served
   std::int64_t inserted_bytes = 0;  // bytes of entries stored or upgraded
 
   CacheStats& operator+=(const CacheStats& o) {

@@ -1,30 +1,33 @@
-// ViewCache — sweep-scoped memoization of radius-r ball constructions.
+// ViewCache — memoized radius-r ball costs for the cached ball wave.
 //
 // Every upper-bound algorithm in the paper probes balls (Defs. 2.1-2.2), and
-// a whole-graph sweep re-derives the same BFS ball at every start that
-// revisits a center: Θ(n·Δ^r) redundant pointer-chasing for a ball(r) family.
-// The cache stores, per center node, the *canonical BFS expansion* of the
-// ball — discovery order plus per-depth windows and query counts — and
-// serves any radius as an exact prefix of that expansion.
+// a sweep or a query stream that revisits a center re-derives the same BFS
+// ball: Θ(Δ^r) pointer-chasing per repeat for a ball(r) family.  The cache
+// stores, per center node, the per-depth summary of the ball's *canonical
+// BFS expansion* — volume and cumulative query count at every depth — and
+// serves the three cost meters of any radius up to the stored depth.
+//
+// One protocol looks balls up and stores them: run_cached_ball_wave
+// (runtime/batched_execution.hpp), shared by batched sweeps
+// (ParallelRunner::run_planned) and the query service.  A wave reads the
+// epoch, serves full hits through serve_costs(), fuses the misses into one
+// BatchedBallExecutor run, and store()s each fused expansion.  The cache's
+// owner binds it and runs invalidate_region(); the per-start Execution does
+// not know the cache exists.
 //
 // Exactness contract (the reason results stay bit-identical under any
 // policy, thread count, or eviction schedule):
-//   * explore_ball's level-synchronous BFS from a fixed center on a fixed
-//     graph is deterministic, and exploring to radius r is an exact prefix
-//     (same discovery order, same query outcomes) of exploring to any
-//     R >= r.  A cached entry of depth R therefore serves radius r <= R by
-//     prefix replay, and radius r > R by replaying the stored prefix and
-//     resuming the real BFS from the cached frontier — both produce the
-//     state the direct path would have produced, query for query.
-//   * Cost accounting is untouched: serving a prefix advances the volume,
-//     distance and query-count meters by exactly the amounts the replayed
-//     queries would have contributed.  The cache amortizes wall time, never
-//     the model's costs (asserted per-sweep by bench_runner and fuzzed by
-//     tools/volcal_fuzz --cache).
-//   * Ineligible executions bypass the cache entirely: budget-limited runs
-//     (the truncating query must fire at the identical point), non-fresh
-//     executions (prior queries change freshness), and recording sinks
-//     (traces must contain every query) always take the direct path.
+//   * the level-synchronous BFS from a fixed center on a fixed graph is
+//     deterministic, and exploring to radius r is an exact prefix of
+//     exploring to any R >= r.  An entry of depth R therefore answers every
+//     radius r <= R (and any radius once the component is exhausted) with
+//     exactly the meters explore_ball(center, r) would report.  A request
+//     deeper than the stored depth is a miss; the wave rebuilds the ball and
+//     store() keeps the deeper expansion.
+//   * Cost accounting is untouched: a served ball reports the volume,
+//     distance and query count the direct exploration would have produced.
+//     The cache amortizes wall time, never the model's costs (asserted
+//     per-sweep by bench_runner and fuzzed by tools/volcal_fuzz --cache).
 //
 // Concurrency: the table is sharded by mix64(center); lookups take a shard
 // shared_mutex in shared mode (the hit path never takes an exclusive lock —
@@ -62,8 +65,9 @@
 
 namespace volcal {
 
-// Cache knob for a runner / sweep.  The environment form is what the bench
-// flag `--cache <off|shared>` exports:
+// Cache knob for batched sweeps (ParallelRunner::run_planned) and the query
+// service; per-start sweeps never consult a cache.  The environment form is
+// what the bench flag `--cache <off|shared>` exports:
 //   VOLCAL_CACHE    = off | shared              (default off)
 //   VOLCAL_CACHE_MB = byte budget in MiB        (default 256)
 struct CacheConfig {
@@ -74,21 +78,21 @@ struct CacheConfig {
   static bool policy_from_name(const char* name, CachePolicy* out);
 };
 
-// The canonical BFS expansion of a ball, fully expanded to `depth` levels.
-//   order[0..level_end[d])   — the ball N_center(d), in discovery order;
-//   level_end[d]             — nodes at distance <= d (level_end[0] == 1);
-//   cum_queries[d]           — query() calls explore_ball(center, d) makes;
-//   exhausted                — the frontier emptied at `depth`: the ball is
-//                              its whole component and serves any radius.
+// The per-depth summary of a ball's canonical BFS expansion, fully expanded
+// to `depth` levels — everything the cost meters of a served ball need:
+//   level_end[d]    — |N_center(d)|, nodes at distance <= d (level_end[0] == 1);
+//   cum_queries[d]  — query() calls explore_ball(center, d) makes;
+//   exhausted       — the frontier emptied at `depth`: the ball is its whole
+//                     component and serves any radius.
+// The discovery order itself is not kept: no reader of the cache needs it.
 struct CachedBall {
-  std::vector<NodeIndex> order;
   std::vector<std::int64_t> level_end;
   std::vector<std::int64_t> cum_queries;
   std::int64_t depth = 0;
   bool exhausted = false;
 
   std::size_t bytes() const {
-    return sizeof(CachedBall) + order.capacity() * sizeof(NodeIndex) +
+    return sizeof(CachedBall) +
            (level_end.capacity() + cum_queries.capacity()) * sizeof(std::int64_t);
   }
 
@@ -114,42 +118,6 @@ struct BallCosts {
   std::int64_t queries = 0;
 };
 
-namespace detail {
-
-// Expands `ball` in place from its stored depth toward `target` with real
-// queries on `exec`.  Precondition: exec holds exactly the ball's prefix
-// state (fresh execution + installed prefix, or a fresh execution and an
-// empty ball seeded with the start node).  The loop is the level-window BFS
-// of explore_ball with per-level bookkeeping recorded.
-template <typename Exec>
-void extend_cached_ball(Exec& exec, CachedBall& ball, std::int64_t target) {
-  while (ball.depth < target && !ball.exhausted) {
-    const auto d = static_cast<std::size_t>(ball.depth);
-    const auto lb = static_cast<std::size_t>(d == 0 ? 0 : ball.level_end[d - 1]);
-    const auto le = static_cast<std::size_t>(ball.level_end[d]);
-    if (lb == le) {
-      ball.exhausted = true;
-      return;
-    }
-    std::int64_t queries = ball.cum_queries[d];
-    for (std::size_t head = lb; head < le; ++head) {
-      const NodeIndex v = ball.order[head];
-      const int deg = exec.degree(v);
-      queries += deg;
-      for (Port p = 1; p <= deg; ++p) {
-        const std::int64_t before = exec.volume();
-        const NodeIndex u = exec.query(v, p);
-        if (exec.volume() > before) ball.order.push_back(u);
-      }
-    }
-    ball.level_end.push_back(static_cast<std::int64_t>(ball.order.size()));
-    ball.cum_queries.push_back(queries);
-    ++ball.depth;
-  }
-}
-
-}  // namespace detail
-
 class ViewCache {
  public:
   explicit ViewCache(CacheConfig config = {}) : config_(config) {
@@ -164,8 +132,8 @@ class ViewCache {
 
   // Binds the cache to one graph.  Entries are only valid for the bound
   // graph; binding a different one invalidates everything first.  Callers
-  // reusing a persistent cache across graphs must re-bind (or invalidate)
-  // between them — the engine binds on first explore.  Identity is the
+  // bind before every wave (the sweep engine once per batched sweep, the
+  // query service under its target lock per wave).  Identity is the
   // view's storage *token* (graph_view.hpp), minted once per build / adopt /
   // snapshot load and never reused in a process — so an owning Graph and a
   // snapshot mapping of the same instance are, correctly, different cache
@@ -182,11 +150,10 @@ class ViewCache {
   }
 
   // O(1) full invalidation: epoch bump; shards clear lazily on next touch.
-  // This is the *engine-internal* flush — bind()'s graph-change path, or an
-  // owner of an attached cache switching graphs.  It is NOT the data-mutation
-  // signal: mutations go through graph/mutation.hpp and invalidate_region(),
-  // which evicts only the balls a structural delta can actually reach (and
-  // migrates the rest to the new storage identity).
+  // This is the *engine-internal* flush — bind()'s graph-change path.  It is
+  // NOT the data-mutation signal: mutations go through graph/mutation.hpp
+  // and invalidate_region(), which evicts only the balls a structural delta
+  // can actually reach (and migrates the rest to the new storage identity).
   void invalidate() {
     epoch_.fetch_add(1, std::memory_order_acq_rel);
   }
@@ -329,92 +296,12 @@ class ViewCache {
     return n;
   }
 
-  // The cached explore_ball: serves exec's ball from the cache when
-  // possible, resumes / builds with real queries otherwise, and stores the
-  // result.  Exactness per the header contract; the caller (explore_ball)
-  // has already checked the execution is eligible.
-  template <typename Exec>
-  std::vector<NodeIndex> explore(Exec& exec, std::int64_t radius) {
-    const StorageToken id = exec.graph().storage_identity();
-    StorageToken cur = bound_.load(std::memory_order_acquire);
-    if (cur == kAnonymousStorage && id != kAnonymousStorage) {
-      bind(exec.graph());
-      cur = bound_.load(std::memory_order_acquire);
-    }
-    if (id == kAnonymousStorage || cur != id || radius < 0) {
-      // Anonymous storage (no token to key on) or an unknown graph (caller
-      // forgot to re-bind a persistent cache): stay exact by ignoring the
-      // cache for this execution.
-      CachedBall ball = seed(exec.start());
-      detail::extend_cached_ball(exec, ball, radius);
-      return std::move(ball.order);
-    }
-
-    const NodeIndex center = exec.start();
-    Shard& shard = shard_of(center);
-    const std::uint64_t epoch = epoch_.load(std::memory_order_acquire);
-
-    CachedBall work;
-    bool resumed = false;
-    bool stale = false;
-    {
-      std::shared_lock lock(shard.mu);
-      if (shard.epoch != epoch) {
-        stale = true;  // reconcile below, outside the shared lock
-      } else {
-        auto it = shard.map.find(center);
-        // entry.token == id closes the hot-swap race window: between this
-        // worker's binding check above and this lookup, a concurrent bind()
-        // can have re-bound the cache and let another worker repopulate the
-        // shard with balls for a *different* graph at the epoch we captured.
-        // The entry's own token records which graph its ball was computed
-        // on; a mismatch is a miss, never a served ball.
-        if (it != shard.map.end() && it->second->token == id) {
-          Entry& entry = *it->second;
-          entry.last_used.store(tick(), std::memory_order_relaxed);
-          const CachedBall& ball = entry.ball;
-          if (ball.depth >= radius || ball.exhausted) {
-            // Full service under the shared lock: install the prefix into
-            // the execution's meters and return the served order.
-            const std::int64_t d = std::min(radius, ball.depth);
-            const auto count = static_cast<std::size_t>(
-                ball.level_end[static_cast<std::size_t>(d)]);
-            exec.install_ball_prefix(ball.order.data(), ball.level_end.data(), d,
-                                     ball.cum_queries[static_cast<std::size_t>(d)]);
-            hits_.inc();
-            served_nodes_.inc(static_cast<std::int64_t>(count));
-            return {ball.order.begin(),
-                    ball.order.begin() + static_cast<std::ptrdiff_t>(count)};
-          }
-          // Partial hit: install the whole stored prefix, copy it out, and
-          // resume the real BFS outside the lock.
-          exec.install_ball_prefix(ball.order.data(), ball.level_end.data(), ball.depth,
-                                   ball.cum_queries[static_cast<std::size_t>(ball.depth)]);
-          work = ball;
-          resumed = true;
-          hits_.inc();
-          served_nodes_.inc(static_cast<std::int64_t>(work.order.size()));
-        }
-      }
-    }
-    if (stale) reconcile_epoch(shard, epoch);
-    if (!resumed) {
-      misses_.inc();
-      work = seed(center);
-    }
-    detail::extend_cached_ball(exec, work, radius);
-    std::vector<NodeIndex> out = work.order;
-    store(center, std::move(work), epoch, id);
-    return out;
-  }
-
-  // Cost-only full-hit service for the batched backend: when the cache holds
-  // a full expansion of N_center(radius), writes the exact meters a served
-  // execution would report (volume / distance / queries) and counts a hit;
-  // otherwise counts a miss and returns false so the caller rebuilds the
-  // ball (partial entries are not resumed on this path — the batched
-  // executor rebuilds from scratch and store() keeps the deeper result).
-  // Caller must have bound the cache to `g` first.
+  // The lookup: when the cache holds a full expansion of N_center(radius),
+  // writes the exact meters explore_ball(center, radius) would report
+  // (volume / distance / queries) and counts a hit; otherwise counts a miss
+  // and returns false so the caller rebuilds the ball (a shallower entry is
+  // not resumed — the executor rebuilds from scratch and store() keeps the
+  // deeper result).  Caller must have bound the cache to `g` first.
   bool serve_costs(GraphView g, NodeIndex center, std::int64_t radius,
                    BallCosts* out) {
     const StorageToken id = g.storage_identity();
@@ -428,8 +315,12 @@ class ViewCache {
       std::shared_lock lock(shard.mu);
       if (shard.epoch == epoch) {
         auto it = shard.map.find(center);
-        // Same token guard as explore(): an entry stored for a different
-        // graph during a racing hot swap must read as a miss, not a hit.
+        // entry.token == id closes the hot-swap race window: between the
+        // binding check above and this lookup, a concurrent bind() can have
+        // re-bound the cache and let another worker repopulate the shard
+        // with balls for a *different* graph at the epoch we captured.  The
+        // entry's own token records which graph its ball was computed on; a
+        // mismatch is a miss, never a served ball.
         if (it != shard.map.end() && it->second->token == id) {
           Entry& entry = *it->second;
           const CachedBall& ball = entry.ball;
@@ -463,7 +354,6 @@ class ViewCache {
              StorageToken token) {
     if (token == kAnonymousStorage) return;
     Shard& shard = shard_of(center);
-    ball.order.shrink_to_fit();
     ball.level_end.shrink_to_fit();
     ball.cum_queries.shrink_to_fit();
     const std::size_t size = ball.bytes();
@@ -518,14 +408,6 @@ class ViewCache {
 
   static constexpr std::size_t kShards = 64;  // power of two
 
-  static CachedBall seed(NodeIndex center) {
-    CachedBall ball;
-    ball.order.push_back(center);
-    ball.level_end.push_back(1);
-    ball.cum_queries.push_back(0);
-    return ball;
-  }
-
   Shard& shard_of(NodeIndex center) const {
     return shards_[splitmix64(static_cast<std::uint64_t>(center)) & (kShards - 1)];
   }
@@ -533,16 +415,8 @@ class ViewCache {
   std::uint64_t tick() { return tick_.fetch_add(1, std::memory_order_relaxed); }
 
   // Lazy epoch reconciliation: drop the shard's content if the cache was
-  // invalidated since the shard was last touched.
-  void reconcile_epoch(Shard& shard, std::uint64_t epoch) {
-    {
-      std::shared_lock lock(shard.mu);
-      if (shard.epoch == epoch) return;
-    }
-    std::unique_lock lock(shard.mu);
-    reconcile_epoch_locked(shard, epoch);
-  }
-
+  // invalidated since the shard was last touched.  Caller holds shard.mu
+  // exclusively.
   void reconcile_epoch_locked(Shard& shard, std::uint64_t epoch) {
     if (shard.epoch == epoch) return;
     shard.map.clear();

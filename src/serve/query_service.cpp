@@ -17,13 +17,6 @@ namespace {
 // traffic at any rate the percentiles are meaningful for.
 constexpr std::size_t kWindowRingCapacity = std::size_t{1} << 16;
 
-// Certification radius apply_mutations uses for solver-driven (non-batchable)
-// families when the caller passes -1: the cache can hold balls of any depth
-// the solver explored, so the bound must cover every plausible exploration
-// depth.  64 is far past the O(log n) depths the registry families reach at
-// servable sizes while keeping the BFS cheap.
-constexpr std::int64_t kDefaultMutationRadius = 64;
-
 }  // namespace
 
 ServeTarget make_serve_target(std::shared_ptr<const ErasedInstance> instance) {
@@ -137,8 +130,7 @@ void QueryService::swap_target(ServeTarget next) {
   c_swaps_->inc();
 }
 
-MutationOutcome QueryService::apply_mutations(const MutationBatch& batch,
-                                              std::int64_t max_radius) {
+MutationOutcome QueryService::apply_mutations(const MutationBatch& batch) {
   MutationOutcome out;
   const auto t0 = std::chrono::steady_clock::now();
   // One critical section covers mutate + invalidate + swap: workers snapshot
@@ -157,13 +149,13 @@ MutationOutcome QueryService::apply_mutations(const MutationBatch& batch,
     out.error = e.what();
     return out;
   }
-  if (config_.cache.policy == CachePolicy::Shared) {
-    std::int64_t radius = max_radius;
-    if (radius < 0) {
-      radius = old->plan.batchable() ? old->plan.radius : kDefaultMutationRadius;
-    }
-    const ViewCache::RegionInvalidation inv = cache_.invalidate_region(
-        old->instance->graph(), touched, radius, next->graph().storage_identity());
+  // Only a batchable target's waves fill the cache, always with balls of its
+  // plan radius — so that radius certifies every entry, and a non-batchable
+  // target has nothing cached to invalidate.
+  if (config_.cache.policy == CachePolicy::Shared && old->plan.batchable()) {
+    const ViewCache::RegionInvalidation inv =
+        cache_.invalidate_region(old->instance->graph(), touched, old->plan.radius,
+                                 next->graph().storage_identity());
     out.cache_evicted = inv.evicted;
     out.cache_retained = inv.retained;
     out.flushed = inv.fell_back_to_flush;
@@ -522,7 +514,6 @@ void QueryService::worker_loop(int worker) {
           result.status = QueryStatus::InvalidNode;
         } else {
           Execution e(g, inst.ids(), static_cast<NodeIndex>(req.node), 0, scratch);
-          if (cache != nullptr) e.attach_view_cache(cache);
           result.label = inst.solve(e);
           result.volume = e.volume();
           result.distance = e.distance();

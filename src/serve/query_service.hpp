@@ -95,7 +95,8 @@ struct ServeConfig {
   int batch_max = 64;
   // Advisory retry hint attached to shed responses.
   std::uint32_t retry_after_ms = 50;
-  // Cross-request ball cache (policy Shared to enable; Off serves uncached).
+  // Cross-request ball cache behind a batchable target's waves (policy
+  // Shared to enable; Off serves uncached).
   CacheConfig cache;
   // Sliding window for the windowed percentiles in stats_json().
   double stats_window_seconds = 10.0;
@@ -176,14 +177,14 @@ class QueryService {
   // farther away stays warm.  In-flight waves finish against the old target
   // exactly as under swap_target — the old mapping outlives its last batch.
   //
-  // `max_radius` bounds the certification BFS; -1 resolves automatically
-  // (the plan radius for batchable families, a generous fixed bound for
-  // solver-driven ones).  An invalid batch (bad rewire, unsupported label
-  // channel) is rejected whole: `ok == false`, the served target and the
-  // cache are untouched.  Safe under full load and from any thread; calls
-  // serialize with each other and with swap_target.
-  MutationOutcome apply_mutations(const MutationBatch& batch,
-                                  std::int64_t max_radius = -1);
+  // The certification BFS is bounded at the plan radius, the depth of every
+  // ball a batchable target caches; a non-batchable target caches nothing,
+  // so its updates skip the invalidation (0 evicted, 0 retained, no flush).
+  // An invalid batch (bad rewire, unsupported label channel) is rejected
+  // whole: `ok == false`, the served target and the cache are untouched.
+  // Safe under full load and from any thread; calls serialize with each
+  // other and with swap_target.
+  MutationOutcome apply_mutations(const MutationBatch& batch);
 
   // Stops admission, completes every accepted request, joins the workers.
   // Idempotent; submit() returns Stopped from the moment this starts.

@@ -202,8 +202,9 @@ TEST(BatchedBallExecutor, DuplicateCentersShareOneSlotEach) {
 }
 
 TEST(BatchedBallExecutor, CanonicalBallsInstallIntoViewCache) {
-  // take_ball must hand back canonical BFS expansions: storing them and
-  // re-serving through ViewCache::serve_costs reproduces the meters.
+  // take_ball must hand back the per-depth summaries of canonical BFS
+  // expansions: storing them and re-serving through ViewCache::serve_costs
+  // reproduces the meters.
   const auto inst = make_complete_binary_tree(6, Color::Red, Color::Blue);
   BatchedBallExecutor exec;
   exec.bind(inst.graph);

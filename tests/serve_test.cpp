@@ -603,6 +603,53 @@ TEST(QueryService, AppliedMutationsServeTheMutatedGraphExactly) {
             static_cast<std::int64_t>(mo.cache_retained));
 }
 
+// A non-batchable target never fills the cache, even under Shared: its
+// requests run the family's own solver per start.  Its updates therefore
+// skip the region invalidation (0 evicted, 0 retained, no flush) and the
+// answers stay exact.
+TEST(QueryService, MutationOfASolverDrivenTargetSkipsTheCache) {
+  ServeTarget target = target_for("leaf-coloring", 400, 5);
+  ASSERT_FALSE(target.plan.batchable());
+  const std::shared_ptr<const ErasedInstance> inst = target.instance;
+  const auto n = static_cast<std::int64_t>(inst->node_count());
+
+  ServeConfig config;
+  config.threads = 2;
+  config.queue_capacity = static_cast<std::size_t>(2 * n);
+  config.cache.policy = CachePolicy::Shared;
+  QueryService service(std::move(target), config);
+  const auto query_all = [&](std::uint64_t base, const std::vector<int>& expected) {
+    ResultCollector results;
+    for (std::int64_t v = 0; v < n; ++v) {
+      ASSERT_EQ(service.submit(base + static_cast<std::uint64_t>(v), v, results.sink()),
+                Admission::Accepted);
+    }
+    results.wait_for(static_cast<std::size_t>(n));
+    for (const auto& [id, r] : results.take()) {
+      const auto v = static_cast<std::size_t>(id - base);
+      ASSERT_EQ(r.status, QueryStatus::Ok);
+      ASSERT_EQ(r.label, expected[v]) << "node " << v;
+    }
+  };
+  query_all(0, offline_labels(*inst));
+
+  const MutationBatch batch = inst->propose_mutation(/*seed=*/77, /*rewires=*/1,
+                                                     /*label_updates=*/2);
+  ASSERT_FALSE(batch.empty());
+  const MutationOutcome mo = service.apply_mutations(batch);
+  ASSERT_TRUE(mo.ok) << mo.error;
+  EXPECT_EQ(mo.cache_evicted, 0u);
+  EXPECT_EQ(mo.cache_retained, 0u);
+  EXPECT_FALSE(mo.flushed);
+
+  query_all(static_cast<std::uint64_t>(n), offline_labels(inst->mutated(batch)));
+  const CacheStats cache = service.cache_stats();
+  EXPECT_EQ(cache.hits, 0);
+  EXPECT_EQ(cache.misses, 0);
+  EXPECT_EQ(cache.inserted_bytes, 0);
+  service.drain_and_stop();
+}
+
 // --- Observability ---------------------------------------------------------
 
 // stats_json() is the payload every consumer parses (Stats frame, volcal_top,
