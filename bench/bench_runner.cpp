@@ -15,14 +15,17 @@
 // not speedup; the flat-vs-map row is the hardware-independent headline).
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "labels/generators.hpp"
+#include "lcl/registry.hpp"
 #include "lcl/algorithms/leaf_coloring_algos.hpp"
 #include "lcl/algorithms/local_view.hpp"
 #include "runtime/reference_execution.hpp"
+#include "serve/query_service.hpp"
 #include "util/hash.hpp"
 
 namespace volcal::bench {
@@ -80,115 +83,35 @@ struct EngineRow {
   SweepCost cost;
 };
 
-// One plan-dispatched sweep under an explicit (cache policy, backend) pair,
-// keeping the aggregate stats (hit/miss and batch counters), the optional
-// profile (per-worker batch occupancy) and the per-start outputs (for the
-// divergence check).
-template <typename Fn>
-SweepCost sweep_policy(const Graph& g, const IdAssignment& ids,
-                       const std::vector<NodeIndex>& starts, Fn&& solve, int threads,
-                       CachePolicy policy, ExecBackend backend, const ProbePlan& plan,
-                       SweepStats* stats_out, SweepProfile* profile_out,
-                       std::vector<int>* output_out) {
-  CacheConfig cfg;
-  cfg.policy = policy;
-  ParallelRunner runner(threads, cfg);
-  runner.set_backend(backend);
-  WallTimer timer;
-  auto run = runner.run_planned(g, ids, std::span<const NodeIndex>(starts), plan,
-                                [&](Execution& exec) { return solve(exec); },
-                                /*budget=*/0, /*tape=*/nullptr, profile_out);
-  SweepCost cost;
-  cost.max_volume = run.stats.max_volume;
-  cost.max_distance = run.stats.max_distance;
-  cost.total_volume = run.stats.total_volume;
-  cost.seconds = timer.seconds();
-  if (stats_out != nullptr) *stats_out = run.stats;
-  if (output_out != nullptr) *output_out = std::move(run.output);
-  return cost;
-}
-
+// One cell of the backend ablation: the first repeat's result and profile
+// (per-worker batch occupancy) plus the wall time summed over repeats.
 struct AblationRow {
-  ExecBackend backend;
-  CachePolicy policy;
-  int threads;
-  SweepCost cost;
-  SweepStats stats;
+  std::string engine;
+  double seconds = 0.0;
+  SweepResult<int> run;
   SweepProfile profile;
-  std::vector<int> output;
 };
 
-std::string row_engine(const AblationRow& row) {
-  return std::string(cache_policy_name(row.policy)) + " x" + std::to_string(row.threads) +
-         (row.backend == ExecBackend::Batched ? "/batched" : "");
-}
-
-// Runs the {backend} x {threads} x {policy} grid of one ball workload,
-// verifying every row bit-identical against the first (basic / off / serial)
-// and emitting one table row + one report curve per cell.  The basic backend
-// runs uncached only: its per-start loop consults no cache, so a basic x
-// shared row would repeat basic x off.
-template <typename Fn>
-std::vector<AblationRow> run_ablation_rows(
-    const Graph& g, const IdAssignment& ids, const std::vector<NodeIndex>& starts,
-    Fn&& solve, const ProbePlan& plan, std::initializer_list<CachePolicy> policies,
-    int repeats, const char* workload, stats::Table& table, JsonReport& report,
-    const char* report_prefix) {
-  std::vector<AblationRow> rows;
-  for (const ExecBackend backend : {ExecBackend::Basic, ExecBackend::Batched}) {
-    for (const int threads : {1, 8}) {
-      for (const CachePolicy policy : policies) {
-        if (backend == ExecBackend::Basic && policy != CachePolicy::Off) continue;
-        AblationRow row{backend, policy, threads, {}, {}, {}, {}};
-        row.cost = sweep_policy(g, ids, starts, solve, threads, policy, backend, plan,
-                                &row.stats, &row.profile, &row.output);
-        for (int r = 1; r < repeats; ++r) {
-          const SweepCost again = sweep_policy(g, ids, starts, solve, threads, policy,
-                                               backend, plan, nullptr, nullptr, nullptr);
-          row.cost.seconds += again.seconds;
-          row.cost.total_volume += again.total_volume;
-        }
-        rows.push_back(std::move(row));
-      }
-    }
-  }
-  const AblationRow& base = rows.front();  // basic / off / x1
-  const double total_starts = static_cast<double>(starts.size()) * repeats;
-  for (const AblationRow& row : rows) {
-    if (!row.cost.same_costs(base.cost) || row.output != base.output) {
-      std::fprintf(stderr, "FATAL: '%s' diverged from the basic uncached sweep on %s\n",
-                   row_engine(row).c_str(), workload);
-      std::exit(1);
-    }
-    char starts_s[32], nodes_s[32], speedup[32];
-    std::snprintf(starts_s, sizeof starts_s, "%.0f", total_starts / row.cost.seconds);
-    std::snprintf(nodes_s, sizeof nodes_s, "%.3g",
-                  static_cast<double>(row.cost.total_volume) / row.cost.seconds);
-    std::snprintf(speedup, sizeof speedup, "%.2fx", base.cost.seconds / row.cost.seconds);
-    table.add_row({workload, fmt_int(static_cast<std::int64_t>(g.node_count())),
-                   row_engine(row), starts_s, nodes_s, speedup});
-    Curve c;
-    c.add(static_cast<double>(g.node_count()),
-          static_cast<double>(row.cost.total_volume) / row.cost.seconds, row.cost.seconds);
-    report.add(std::string(report_prefix) + " / " + row_engine(row), c);
-  }
-  return rows;
-}
-
-const AblationRow* find_row(const std::vector<AblationRow>& rows, ExecBackend backend,
-                            CachePolicy policy, int threads) {
-  for (const AblationRow& row : rows) {
-    if (row.backend == backend && row.policy == policy && row.threads == threads) {
-      return &row;
-    }
-  }
-  return nullptr;
+// One table row + one report curve ("<prefix> / <engine>") per engine.
+void add_throughput_row(stats::Table& table, JsonReport& report, const std::string& workload,
+                        const std::string& prefix, NodeIndex n, const std::string& engine,
+                        double starts, std::int64_t total_volume, double seconds,
+                        double base_seconds) {
+  char starts_s[32], nodes_s[32], speedup[32];
+  std::snprintf(starts_s, sizeof starts_s, "%.0f", starts / seconds);
+  std::snprintf(nodes_s, sizeof nodes_s, "%.3g", static_cast<double>(total_volume) / seconds);
+  std::snprintf(speedup, sizeof speedup, "%.2fx", base_seconds / seconds);
+  table.add_row({workload, fmt_int(static_cast<std::int64_t>(n)), engine, starts_s, nodes_s,
+                 speedup});
+  Curve c;
+  c.add(static_cast<double>(n), static_cast<double>(total_volume) / seconds, seconds);
+  report.add(prefix + " / " + engine, c);
 }
 
 // Per-worker batch occupancy of one batched row: starts per wave is the
 // amortization factor — how many balls each union-frontier wave advanced.
 void print_batch_occupancy(const AblationRow& row) {
-  std::printf("  %s per-worker batch occupancy:", row_engine(row).c_str());
+  std::printf("  %s per-worker batch occupancy:", row.engine.c_str());
   for (std::size_t w = 0; w < row.profile.worker_batches.size(); ++w) {
     const double waves = static_cast<double>(row.profile.worker_waves[w]);
     const double occupancy =
@@ -196,25 +119,84 @@ void print_batch_occupancy(const AblationRow& row) {
     std::printf(" w%zu=%.1f", w, occupancy);
   }
   std::printf(" starts/wave (batches=%lld starts=%lld waves=%lld)\n",
-              static_cast<long long>(row.stats.batch.batches),
-              static_cast<long long>(row.stats.batch.batched_starts),
-              static_cast<long long>(row.stats.batch.waves));
+              static_cast<long long>(row.run.stats.batch.batches),
+              static_cast<long long>(row.run.stats.batch.batched_starts),
+              static_cast<long long>(row.run.stats.batch.waves));
+}
+
+// `repeats` in-process QueryService runs over `starts` (request id =
+// position): every query admitted (the queue holds them all), answered,
+// drained, and checked against `reference`, the basic uncached sweep.
+struct ServeRow {
+  std::string engine;
+  double seconds = 0.0;
+  std::int64_t total_volume = 0;
+  CacheStats cache;  // of the last run
+};
+
+ServeRow serve_hot(const serve::ServeTarget& target, const std::vector<NodeIndex>& starts,
+                   const SweepResult<int>& reference, CachePolicy policy, int workers,
+                   int repeats) {
+  ServeRow row;
+  row.engine = std::string("serve ") + cache_policy_name(policy) + " x" + std::to_string(workers);
+  serve::ServeConfig config;
+  config.threads = workers;
+  config.queue_capacity = starts.size();
+  config.cache.policy = policy;
+  std::vector<serve::QueryResult> results(starts.size());
+  for (int r = 0; r < repeats; ++r) {
+    serve::QueryService service(target, config);
+    WallTimer timer;
+    for (std::size_t i = 0; i < starts.size(); ++i) {
+      if (service.submit(i, starts[i], [&results](const serve::QueryResult& q) {
+            results[q.request_id] = q;
+          }) != serve::Admission::Accepted) {
+        std::fprintf(stderr, "FATAL: '%s' did not admit query %zu\n", row.engine.c_str(), i);
+        std::exit(1);
+      }
+    }
+    service.drain_and_stop();
+    row.seconds += timer.seconds();
+    row.cache = service.cache_stats();
+    for (std::size_t i = 0; i < starts.size(); ++i) {
+      const serve::QueryResult& q = results[i];
+      if (q.status != serve::QueryStatus::Ok || q.label != reference.output[i] ||
+          q.volume != reference.volume[i] || q.distance != reference.distance[i] ||
+          q.queries != reference.queries[i]) {
+        std::fprintf(stderr,
+                     "FATAL: '%s' diverged from the basic uncached sweep on ball(r=6)/hot "
+                     "at query %zu\n",
+                     row.engine.c_str(), i);
+        std::exit(1);
+      }
+      row.total_volume += q.volume;
+    }
+  }
+  return row;
 }
 
 // View-cache ablation on the serving workload the shared cache targets:
-// starts drawn from a small hot set of centers, so whole balls repeat across
-// starts.  On the batched backend Off fuses every start; Shared fuses each
+// queries drawn from a small hot set of centers, so whole balls repeat
+// across requests.  Each row is an in-process QueryService on a batched
+// ball(6) target: Off fuses every query of a wave; Shared fuses each
 // distinct ball once (per concurrent first touch) and serves every later
-// repeat from the cache.  Outputs and cost meters must be bit-identical
-// across policies and backends — only wall time may move.
+// repeat from the cache.  Every answer must equal the basic uncached sweep
+// bit for bit — only wall time may move.
 void run_cache_ablation(const Args& args, stats::Table& table, JsonReport& report) {
-  const auto inst = make_complete_binary_tree(15, Color::Red, Color::Blue);  // 2^16 - 1
-  if (!args.keep_n(inst.node_count())) return;
+  const RegistryEntry* ball = ProblemRegistry::global().find("ball-4");
+  constexpr NodeIndex kNodes = (NodeIndex{1} << 16) - 1;  // complete binary tree, depth 15
+  if (ball == nullptr || !args.keep_n(kNodes)) return;
   auto ph = report.phase("cache-ablation");
   constexpr std::size_t kHotCenters = 256;
   constexpr std::size_t kStarts = 32768;
   constexpr int kRadius = 6;
   constexpr int kRepeats = 2;
+  // The ball-4 family's tree; the target's plan sets the served radius (a
+  // batchable target is answered by its plan's ball wave, never by solve()).
+  serve::ServeTarget target;
+  target.instance = std::make_shared<const ErasedInstance>(ball->make(kNodes, /*seed=*/1));
+  target.plan = ProbePlan::batched_ball(kRadius);
+  const ErasedInstance& inst = *target.instance;
   std::vector<NodeIndex> hot(kHotCenters);
   for (std::size_t j = 0; j < kHotCenters; ++j) {
     hot[j] = static_cast<NodeIndex>(mix64(0x686f74ull /* "hot" */, j) %
@@ -224,35 +206,43 @@ void run_cache_ablation(const Args& args, stats::Table& table, JsonReport& repor
   for (std::size_t i = 0; i < kStarts; ++i) {
     starts[i] = hot[mix64(0x73727665ull /* "srve" */, i) % kHotCenters];
   }
-  auto solve = [](Execution& exec) { return static_cast<int>(explore_ball(exec, kRadius).size()); };
 
-  const std::vector<AblationRow> rows = run_ablation_rows(
-      inst.graph, inst.ids, starts, solve, ProbePlan::batched_ball(kRadius),
-      {CachePolicy::Off, CachePolicy::Shared}, kRepeats,
-      "ball(r=6)/hot", table, report, "cache-ablation");
-  const AblationRow* off8 = find_row(rows, ExecBackend::Batched, CachePolicy::Off, 8);
-  const AblationRow* shared8 = find_row(rows, ExecBackend::Batched, CachePolicy::Shared, 8);
-  const double gain = off8->cost.seconds / shared8->cost.seconds;
+  WallTimer timer;
+  const auto reference = ParallelRunner(1).run_at(
+      inst.graph(), inst.ids(), std::span<const NodeIndex>(starts),
+      [](Execution& exec) { return static_cast<int>(explore_ball(exec, kRadius).size()); });
+  const double base_seconds = timer.seconds();
+  add_throughput_row(table, report, "ball(r=6)/hot", "cache-ablation", kNodes, "basic x1",
+                     kStarts, reference.stats.total_volume, base_seconds, base_seconds);
+  std::vector<ServeRow> rows;
+  for (const int workers : {1, 8}) {
+    for (const CachePolicy policy : {CachePolicy::Off, CachePolicy::Shared}) {
+      rows.push_back(serve_hot(target, starts, reference, policy, workers, kRepeats));
+      add_throughput_row(table, report, "ball(r=6)/hot", "cache-ablation", kNodes,
+                         rows.back().engine, static_cast<double>(kStarts) * kRepeats,
+                         rows.back().total_volume, rows.back().seconds,
+                         base_seconds * kRepeats);
+    }
+  }
+  const ServeRow& off8 = rows[2];
+  const ServeRow& shared8 = rows[3];
+  const double gain = off8.seconds / shared8.seconds;
   std::printf(
-      "\ncache ablation (ball(r=%d), %zu starts over %zu hot centers, n=%lld, batched):\n"
+      "\ncache ablation (ball(r=%d), %zu queries over %zu hot centers, n=%lld, "
+      "QueryService):\n"
       "  shared x8: hits=%lld misses=%lld served_nodes=%lld inserted_bytes=%lld\n"
       "  shared x8 vs off x8: %.2fx (target >= 3x: %s)\n",
-      kRadius, kStarts, kHotCenters, static_cast<long long>(inst.node_count()),
-      static_cast<long long>(shared8->stats.cache.hits),
-      static_cast<long long>(shared8->stats.cache.misses),
-      static_cast<long long>(shared8->stats.cache.served_nodes),
-      static_cast<long long>(shared8->stats.cache.inserted_bytes), gain,
+      kRadius, kStarts, kHotCenters, static_cast<long long>(kNodes),
+      static_cast<long long>(shared8.cache.hits), static_cast<long long>(shared8.cache.misses),
+      static_cast<long long>(shared8.cache.served_nodes),
+      static_cast<long long>(shared8.cache.inserted_bytes), gain,
       gain >= 3.0 ? "MET" : "MISSED");
-  // Repeats are served from the shared cache and only the misses batch, so
-  // occupancy here shows the serve/batch composition.
-  print_batch_occupancy(*off8);
-  print_batch_occupancy(*shared8);
 }
 
 // Backend ablation on the whole-graph ball sweep — every start distinct, so
-// the shared cache cannot serve within the sweep and the batched backend's
-// fused wave traversal is the only lever.  This is the >= 2x headline the
-// per-backend baselines (bench/baselines-batched/) pin in CI.
+// the batched backend's fused wave traversal is the only lever.  This is the
+// >= 2x headline the per-backend baselines (bench/baselines-batched/) pin in
+// CI.
 void run_backend_ablation(const Args& args, stats::Table& table, JsonReport& report) {
   const auto inst = make_complete_binary_tree(15, Color::Red, Color::Blue);  // 2^16 - 1
   if (!args.keep_n(inst.node_count())) return;
@@ -262,25 +252,51 @@ void run_backend_ablation(const Args& args, stats::Table& table, JsonReport& rep
   std::vector<NodeIndex> all(static_cast<std::size_t>(inst.node_count()));
   for (NodeIndex v = 0; v < inst.node_count(); ++v) all[static_cast<std::size_t>(v)] = v;
   auto solve = [](Execution& exec) { return static_cast<int>(explore_ball(exec, kRadius).size()); };
+  const ProbePlan plan = ProbePlan::batched_ball(kRadius);
 
-  const std::vector<AblationRow> rows = run_ablation_rows(
-      inst.graph, inst.ids, all, solve, ProbePlan::batched_ball(kRadius),
-      {CachePolicy::Off, CachePolicy::Shared}, kRepeats, "ball(r=6)/all", table, report,
-      "backend-ablation");
-  // The backend's own win at the same config, serial (instruction count,
-  // thread-invariant) and at 8 threads.
-  const AblationRow* basic_off1 = find_row(rows, ExecBackend::Basic, CachePolicy::Off, 1);
-  const AblationRow* batched_off1 = find_row(rows, ExecBackend::Batched, CachePolicy::Off, 1);
-  const AblationRow* basic_off8 = find_row(rows, ExecBackend::Basic, CachePolicy::Off, 8);
-  const AblationRow* batched_off8 = find_row(rows, ExecBackend::Batched, CachePolicy::Off, 8);
-  const double serial_gain = basic_off1->cost.seconds / batched_off1->cost.seconds;
-  const double gain8 = basic_off8->cost.seconds / batched_off8->cost.seconds;
+  // The {backend} x {threads} grid, every row bit-identical to the first
+  // (basic, serial).
+  std::vector<AblationRow> rows;
+  for (const ExecBackend backend : {ExecBackend::Basic, ExecBackend::Batched}) {
+    for (const int threads : {1, 8}) {
+      AblationRow& row = rows.emplace_back();
+      row.engine = std::string(backend_name(backend)) + " x" + std::to_string(threads);
+      ParallelRunner runner(threads);
+      runner.set_backend(backend);
+      for (int r = 0; r < kRepeats; ++r) {
+        WallTimer timer;
+        auto run = runner.run_planned(inst.graph, inst.ids, std::span<const NodeIndex>(all),
+                                      plan, solve, /*budget=*/0, /*tape=*/nullptr,
+                                      r == 0 ? &row.profile : nullptr);
+        row.seconds += timer.seconds();
+        if (r == 0) row.run = std::move(run);
+      }
+    }
+  }
+  const AblationRow& basic1 = rows[0];
+  for (const AblationRow& row : rows) {
+    if (row.run.output != basic1.run.output || row.run.volume != basic1.run.volume ||
+        !same_costs(row.run.stats, basic1.run.stats)) {
+      std::fprintf(stderr, "FATAL: '%s' diverged from the basic sweep on ball(r=6)/all\n",
+                   row.engine.c_str());
+      std::exit(1);
+    }
+    add_throughput_row(table, report, "ball(r=6)/all", "backend-ablation", inst.node_count(),
+                       row.engine, static_cast<double>(all.size()) * kRepeats,
+                       row.run.stats.total_volume * kRepeats, row.seconds, basic1.seconds);
+  }
+  // The backend's own win at the same thread count, serial (instruction
+  // count, thread-invariant) and at 8 threads.
+  const AblationRow& basic8 = rows[1];
+  const AblationRow& batched1 = rows[2];
+  const AblationRow& batched8 = rows[3];
   std::printf(
       "\nbackend ablation (ball(r=%d), whole graph, n=%lld):\n"
-      "  batched off x1 vs basic off x1: %.2fx\n"
-      "  batched off x8 vs basic off x8: %.2fx\n",
-      kRadius, static_cast<long long>(inst.node_count()), serial_gain, gain8);
-  print_batch_occupancy(*batched_off8);
+      "  batched x1 vs basic x1: %.2fx\n"
+      "  batched x8 vs basic x8: %.2fx\n",
+      kRadius, static_cast<long long>(inst.node_count()),
+      basic1.seconds / batched1.seconds, basic8.seconds / batched8.seconds);
+  print_batch_occupancy(batched8);
 }
 
 template <typename FlatFn, typename MapFn>
@@ -288,8 +304,6 @@ void run_workload(const std::string& workload, const Graph& g, const IdAssignmen
                   const std::vector<NodeIndex>& starts, int repeats, FlatFn&& flat_solve,
                   MapFn&& map_solve, stats::Table& table, JsonReport& report) {
   auto ph = report.phase(workload);
-  const double n = static_cast<double>(g.node_count());
-  const double total_starts = static_cast<double>(starts.size()) * repeats;
   auto repeat = [&](auto&& sweep) {
     SweepCost cost = sweep();
     for (int r = 1; r < repeats; ++r) {
@@ -312,17 +326,9 @@ void run_workload(const std::string& workload, const Graph& g, const IdAssignmen
                    row.engine.c_str(), workload.c_str());
       std::exit(1);
     }
-    char starts_s[32], nodes_s[32], speedup[32];
-    std::snprintf(starts_s, sizeof starts_s, "%.0f", total_starts / row.cost.seconds);
-    std::snprintf(nodes_s, sizeof nodes_s, "%.3g",
-                  static_cast<double>(row.cost.total_volume) / row.cost.seconds);
-    std::snprintf(speedup, sizeof speedup, "%.2fx", base.seconds / row.cost.seconds);
-    table.add_row({workload, fmt_int(static_cast<std::int64_t>(n)), row.engine, starts_s,
-                   nodes_s, speedup});
-    Curve c;
-    c.add(n, static_cast<double>(row.cost.total_volume) / row.cost.seconds,
-          row.cost.seconds);
-    report.add(workload + " / " + row.engine, c);
+    add_throughput_row(table, report, workload, workload, g.node_count(), row.engine,
+                       static_cast<double>(starts.size()) * repeats, row.cost.total_volume,
+                       row.cost.seconds, base.seconds);
   }
 }
 

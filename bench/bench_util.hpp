@@ -8,7 +8,7 @@
 // measured costs — the engine's results are bit-identical at any thread count.
 //
 // Every bench main accepts the shared flag set of bench::Args (--json,
-// --trace, --chrome-trace, --metrics, --filter, --max-n, --threads, --cache,
+// --trace, --chrome-trace, --metrics, --filter, --max-n, --threads,
 // --backend, --help);
 // curves print as tables and dump as JSON, and the observability flags attach
 // the obs/ layer (trace sinks + sweep metrics) to every measure() call.
@@ -82,7 +82,6 @@ struct Args {
   std::string filter;                  // --filter <substr>: registry subset
   std::int64_t max_n = 0;              // --max-n <n>: skip larger instances
   int threads = 0;                     // --threads <t>
-  const char* cache = nullptr;         // --cache off|shared
   const char* backend = nullptr;       // --backend basic|batched
   bool help = false;
 
@@ -103,8 +102,6 @@ struct Args {
         "  --filter <substr>      restrict registry-driven sections to matching entries\n"
         "  --max-n <n>            skip instances larger than n\n"
         "  --threads <t>          worker threads (same as VOLCAL_THREADS=t)\n"
-        "  --cache <policy>       ball-view cache: off|shared\n"
-        "                         (same as VOLCAL_CACHE=<policy>)\n"
         "  --backend <backend>    plan execution backend: basic|batched\n"
         "                         (same as VOLCAL_BACKEND=<backend>)\n"
         "  --help                 this message\n\n"
@@ -155,8 +152,6 @@ struct Args {
         args.max_n = std::atoll(v);
       } else if ((v = value_of(i, "--threads", 9)) != nullptr) {
         args.threads = std::atoi(v);
-      } else if ((v = value_of(i, "--cache", 7)) != nullptr) {
-        args.cache = v;
       } else if ((v = value_of(i, "--backend", 9)) != nullptr) {
         args.backend = v;
       } else if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
@@ -175,17 +170,6 @@ struct Args {
       const std::string t = std::to_string(args.threads);
       setenv("VOLCAL_THREADS", t.c_str(), /*overwrite=*/1);
     }
-    if (args.cache != nullptr) {
-      CachePolicy parsed = CachePolicy::Off;
-      if (!CacheConfig::policy_from_name(args.cache, &parsed)) {
-        std::fprintf(stderr, "%s: unknown --cache policy '%s' (off|shared)\n",
-                     tool, args.cache);
-        std::exit(2);
-      }
-      // Exported rather than stored: every ParallelRunner the binary builds
-      // picks the policy up through CacheConfig::from_env().
-      setenv("VOLCAL_CACHE", args.cache, /*overwrite=*/1);
-    }
     if (args.backend != nullptr) {
       ExecBackend parsed = ExecBackend::Batched;
       if (!backend_from_name(args.backend, &parsed)) {
@@ -193,7 +177,8 @@ struct Args {
                      args.backend);
         std::exit(2);
       }
-      // Exported like --cache: every runner picks it up via backend_from_env().
+      // Exported rather than stored: every runner picks it up via
+      // backend_from_env().
       setenv("VOLCAL_BACKEND", args.backend, /*overwrite=*/1);
     }
     install(args);

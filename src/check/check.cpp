@@ -1,6 +1,7 @@
 #include "check/check.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <span>
@@ -28,6 +29,19 @@ namespace volcal::check {
 namespace {
 
 CheckResult fail(std::string msg) { return {false, std::move(msg)}; }
+
+// The differential every check shares: `run` must equal `base` in outputs,
+// per-start costs and aggregate costs.  `what` prefixes the failure.
+template <typename Base, typename Run>
+CheckResult same_sweep(const Base& base, const Run& run, const std::string& what) {
+  if (base.output != run.output) return fail(what + " outputs diverge");
+  if (base.volume != run.volume || base.distance != run.distance ||
+      base.queries != run.queries) {
+    return fail(what + " per-start costs diverge");
+  }
+  if (!same_costs(base.stats, run.stats)) return fail(what + " aggregate costs diverge");
+  return {};
+}
 
 std::string at_start(const char* what, std::size_t i, NodeIndex start) {
   std::ostringstream os;
@@ -363,23 +377,12 @@ CheckResult check_case(const FuzzCase& c) {
                                          &tape);
   auto threaded = ParallelRunner(8).run_at(inst.graph(), inst.ids(), span, solve, c.budget,
                                            &tape);
-  if (serial.output != threaded.output) return fail("sweep: 8-thread outputs diverge");
-  if (serial.volume != threaded.volume || serial.distance != threaded.distance ||
-      serial.queries != threaded.queries) {
-    return fail("sweep: 8-thread per-start costs diverge");
-  }
-  if (!same_costs(serial.stats, threaded.stats)) {
-    return fail("sweep: 8-thread aggregate costs diverge");
-  }
+  if (CheckResult r = same_sweep(serial, threaded, "sweep: 8-thread"); !r) return r;
 
   obs::TraceRecorder recorder;
   auto traced = obs::run_at_traced(ParallelRunner(1), inst.graph(), inst.ids(), span, solve,
                                    recorder, c.budget, &tape);
-  if (serial.output != traced.output) return fail("traced: outputs diverge from flat");
-  if (serial.volume != traced.volume || serial.distance != traced.distance ||
-      serial.queries != traced.queries || !same_costs(serial.stats, traced.stats)) {
-    return fail("traced: costs diverge from flat");
-  }
+  if (CheckResult r = same_sweep(serial, traced, "traced: vs flat,"); !r) return r;
 
   std::int64_t truncated_traces = 0;
   for (std::size_t i = 0; i < starts.size(); ++i) {
@@ -439,27 +442,26 @@ CheckResult check_cache_case(const FuzzCase& c) {
   const ErasedInstance inst = entry->make_variant(c.n_target, c.instance_seed, c.variant);
   const NodeIndex n = inst.node_count();
   if (n <= 0) return fail("generator produced an empty instance");
+  const ProbePlan plan = entry->plan;
+  // Only a batchable plan's balls ride the cached wave; other families are
+  // served per start and never touch a cache.
+  if (!plan.batchable()) return {};
   // The case's starts listed twice: the second copy asks again for every
-  // ball the first copy stored, so the sweep-scoped cache has hits to serve.
+  // ball the first copy stored, so the cache has hits to serve.
   const std::vector<NodeIndex> once = case_starts(c, n);
   std::vector<NodeIndex> starts = once;
   starts.insert(starts.end(), once.begin(), once.end());
   const std::span<const NodeIndex> span(starts);
-  const ProbePlan plan = entry->plan;
+  const std::size_t count = starts.size();
 
-  auto solve = [&](auto& exec) { return inst.solve(exec); };
-  auto config = [](CachePolicy p) {
-    CacheConfig cfg;
-    cfg.policy = p;
-    return cfg;
-  };
-  ParallelRunner base_runner(1, config(CachePolicy::Off));
+  ParallelRunner base_runner(1);
   base_runner.set_backend(ExecBackend::Basic);
-  const auto baseline = base_runner.run_planned(inst.graph(), inst.ids(), span, plan, solve);
+  const auto baseline = base_runner.run_planned(
+      inst.graph(), inst.ids(), span, plan, [&](auto& exec) { return inst.solve(exec); });
 
-  // Serially, batches run one after another and a wave looks every center up
+  // Serially, waves run one after another and a wave looks every center up
   // before it stores any, so a second copy hits exactly when its first copy
-  // ran in an earlier batch — every one of them once the case has at least
+  // ran in an earlier wave — every one of them once the case has at least
   // kMaxBatch starts.
   constexpr auto kBatch = static_cast<std::size_t>(BatchedBallExecutor::kMaxBatch);
   std::int64_t serial_hits = 0;
@@ -467,37 +469,64 @@ CheckResult check_cache_case(const FuzzCase& c) {
     if ((i + once.size()) / kBatch != i / kBatch) ++serial_hits;
   }
 
-  for (const int threads : {1, 8}) {
-    ParallelRunner runner(threads, config(CachePolicy::Shared));
-    runner.set_backend(ExecBackend::Batched);
-    const auto run = runner.run_planned(inst.graph(), inst.ids(), span, plan, solve);
-    const std::string where = "shared at " + std::to_string(threads) + " thread(s)";
-    if (baseline.output != run.output) return fail("cache: outputs diverge under " + where);
-    if (baseline.volume != run.volume || baseline.distance != run.distance ||
-        baseline.queries != run.queries) {
-      return fail("cache: per-start costs diverge under " + where);
-    }
-    if (!same_costs(baseline.stats, run.stats)) {
-      return fail("cache: aggregate costs diverge under " + where);
-    }
-    const CacheStats& cache = run.stats.cache;
-    if (!plan.batchable()) {
-      // The per-start loop consults no cache, whatever the policy.
-      if (cache.policy != CachePolicy::Off || cache.hits != 0 || cache.misses != 0 ||
-          cache.inserted_bytes != 0) {
-        return fail("cache: per-start sweep reports cache traffic under " + where);
+  // The serving protocol: consecutive kMaxBatch-center waves, pulled off a
+  // shared counter, over one bound cache — what the query service's workers
+  // run, without the admission queue.
+  const GraphView g = inst.graph();
+  for (const int workers : {1, 8}) {
+    ViewCache cache(CacheConfig{CachePolicy::Shared});
+    cache.bind(g);
+    SweepResult<int> served;
+    served.output.resize(count);
+    served.volume.resize(count);
+    served.distance.resize(count);
+    served.queries.resize(count);
+    std::atomic<std::size_t> next{0};
+    std::atomic<std::int64_t> fused{0};
+    std::atomic<std::int64_t> hits{0};
+    detail::run_on_workers(workers, [&](int) {
+      BatchedBallExecutor exec;
+      exec.bind(g);
+      for (std::size_t begin = next.fetch_add(kBatch); begin < count;
+           begin = next.fetch_add(kBatch)) {
+        const std::size_t len = std::min(kBatch, count - begin);
+        const auto record = [&](std::size_t k, const BallCosts& costs) {
+          served.output[begin + k] = static_cast<int>(costs.volume);
+          served.volume[begin + k] = costs.volume;
+          served.distance[begin + k] = costs.distance;
+          served.queries[begin + k] = costs.queries;
+        };
+        run_cached_ball_wave(
+            exec, g, span.subspan(begin, len), plan.radius, &cache, g.storage_identity(),
+            [&](std::size_t k, const BallCosts& costs) {
+              record(k, costs);
+              hits.fetch_add(1);
+            },
+            [&](std::span<const std::size_t> index, std::span<const BallCosts> costs) {
+              for (std::size_t s = 0; s < index.size(); ++s) record(index[s], costs[s]);
+              fused.fetch_add(static_cast<std::int64_t>(index.size()));
+            });
       }
-      continue;
+    });
+    const std::string where = "shared cache on " + std::to_string(workers) + " worker(s)";
+    SweepStats& stats = served.stats;
+    stats.starts = static_cast<std::int64_t>(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      stats.max_volume = std::max(stats.max_volume, served.volume[i]);
+      stats.max_distance = std::max(stats.max_distance, served.distance[i]);
+      stats.total_volume += served.volume[i];
+      stats.total_queries += served.queries[i];
     }
-    if (cache.policy != CachePolicy::Shared) {
-      return fail("cache: batched sweep stats tagged with the wrong policy under " + where);
+    if (CheckResult r = same_sweep(baseline, served, "cache: " + where + ","); !r) return r;
+    if (fused.load() + hits.load() != stats.starts) {
+      return fail("cache: fused starts + cache hits != starts under " + where);
     }
-    if (run.stats.batch.batched_starts + cache.hits !=
-        static_cast<std::int64_t>(starts.size())) {
-      return fail("cache: batched starts + cache hits != starts under " + where);
+    if (cache.stats().hits != hits.load() ||
+        cache.stats().hits + cache.stats().misses != stats.starts) {
+      return fail("cache: hit/miss counters disagree with the waves under " + where);
     }
-    if (threads == 1 && cache.hits != serial_hits) {
-      return fail("cache: " + std::to_string(cache.hits) + " serial hits, expected " +
+    if (workers == 1 && hits.load() != serial_hits) {
+      return fail("cache: " + std::to_string(hits.load()) + " serial hits, expected " +
                   std::to_string(serial_hits));
     }
   }
@@ -518,15 +547,10 @@ CheckResult check_backend_case(const FuzzCase& c) {
   const ProbePlan plan = entry->plan;
 
   auto solve = [&](auto& exec) { return inst.solve(exec); };
-  auto config = [](CachePolicy p) {
-    CacheConfig cfg;
-    cfg.policy = p;
-    return cfg;
-  };
 
-  // Reference row: Basic backend, cache off, serial, no budget / no tape (the
+  // Reference row: Basic backend, serial, no budget / no tape (the
   // configuration in which a batchable plan is batched-eligible).
-  ParallelRunner base_runner(1, config(CachePolicy::Off));
+  ParallelRunner base_runner(1);
   base_runner.set_backend(ExecBackend::Basic);
   const auto baseline = base_runner.run_planned(inst.graph(), inst.ids(), span, plan, solve);
   if (baseline.stats.backend != ExecBackend::Basic) {
@@ -536,44 +560,29 @@ CheckResult check_backend_case(const FuzzCase& c) {
     return fail("backend: basic sweep lost its plan tag");
   }
 
-  for (const CachePolicy policy : {CachePolicy::Off, CachePolicy::Shared}) {
-    for (const int threads : {1, 8}) {
-      ParallelRunner runner(threads, config(policy));
-      runner.set_backend(ExecBackend::Batched);
-      const auto run = runner.run_planned(inst.graph(), inst.ids(), span, plan, solve);
-      const std::string where = std::string(plan.name()) + " under " +
-                                cache_policy_name(policy) + " at " +
-                                std::to_string(threads) + " thread(s)";
-      if (baseline.output != run.output) {
-        return fail("backend: outputs diverge for " + where);
+  for (const int threads : {1, 8}) {
+    ParallelRunner runner(threads);
+    runner.set_backend(ExecBackend::Batched);
+    const auto run = runner.run_planned(inst.graph(), inst.ids(), span, plan, solve);
+    const std::string where =
+        std::string(plan.name()) + " at " + std::to_string(threads) + " thread(s)";
+    if (CheckResult r = same_sweep(baseline, run, "backend: " + where + ","); !r) return r;
+    if (run.stats.plan != plan.kind) {
+      return fail("backend: sweep tagged with the wrong plan for " + where);
+    }
+    if (plan.batchable()) {
+      if (run.stats.backend != ExecBackend::Batched) {
+        return fail("backend: batchable sweep did not take the batched path for " + where);
       }
-      if (baseline.volume != run.volume || baseline.distance != run.distance ||
-          baseline.queries != run.queries) {
-        return fail("backend: per-start costs diverge for " + where);
+      // Every start is executed in a batch exactly once.
+      if (run.stats.batch.batched_starts != static_cast<std::int64_t>(starts.size())) {
+        return fail("backend: batch start accounting wrong for " + where);
       }
-      if (!same_costs(baseline.stats, run.stats)) {
-        return fail("backend: aggregate costs diverge for " + where);
+      if (!starts.empty() && run.stats.batch.batches < 1) {
+        return fail("backend: batched sweep recorded zero batches for " + where);
       }
-      if (run.stats.plan != plan.kind) {
-        return fail("backend: sweep tagged with the wrong plan for " + where);
-      }
-      if (plan.batchable()) {
-        if (run.stats.backend != ExecBackend::Batched) {
-          return fail("backend: batchable sweep did not take the batched path for " + where);
-        }
-        // Every start is either executed in a batch or served from the shared
-        // cache — exactly once.  (Starts are strictly increasing, so within a
-        // sweep-scoped cache the hit count can only come from re-serving.)
-        if (run.stats.batch.batched_starts + run.stats.cache.hits !=
-            static_cast<std::int64_t>(starts.size())) {
-          return fail("backend: batch start accounting wrong for " + where);
-        }
-        if (!starts.empty() && run.stats.batch.batches < 1) {
-          return fail("backend: batched sweep recorded zero batches for " + where);
-        }
-      } else if (run.stats.backend != ExecBackend::Basic) {
-        return fail("backend: non-batchable plan tagged batched for " + where);
-      }
+    } else if (run.stats.backend != ExecBackend::Basic) {
+      return fail("backend: non-batchable plan tagged batched for " + where);
     }
   }
 
@@ -581,25 +590,19 @@ CheckResult check_backend_case(const FuzzCase& c) {
   // runner must fall back to the per-start basic path and stay bit-identical
   // to a Basic-backend runner under the same configuration.
   RandomTape base_tape(inst.ids(), c.tape_seed, c.model);
-  ParallelRunner fb_base(1, config(CachePolicy::Off));
+  ParallelRunner fb_base(1);
   fb_base.set_backend(ExecBackend::Basic);
   const auto fb_baseline = fb_base.run_planned(inst.graph(), inst.ids(), span, plan, solve,
                                                c.budget, &base_tape);
   RandomTape tape(inst.ids(), c.tape_seed, c.model);
-  ParallelRunner fb_runner(8, config(CachePolicy::Off));
+  ParallelRunner fb_runner(8);
   fb_runner.set_backend(ExecBackend::Batched);
   const auto fallback = fb_runner.run_planned(inst.graph(), inst.ids(), span, plan, solve,
                                               c.budget, &tape);
   if (fallback.stats.backend != ExecBackend::Basic) {
     return fail("backend: taped sweep did not fall back to the basic path");
   }
-  if (fb_baseline.output != fallback.output || fb_baseline.volume != fallback.volume ||
-      fb_baseline.distance != fallback.distance ||
-      fb_baseline.queries != fallback.queries ||
-      !same_costs(fb_baseline.stats, fallback.stats)) {
-    return fail("backend: taped fallback diverges from the basic backend");
-  }
-  return {};
+  return same_sweep(fb_baseline, fallback, "backend: taped fallback vs basic,");
 }
 
 CheckResult check_snapshot_case(const FuzzCase& c) {
@@ -665,27 +668,18 @@ CheckResult check_snapshot_case(const FuzzCase& c) {
   for (const int threads : {1, 8}) {
     const auto run =
         ParallelRunner(threads).run_at(b, loaded.ids(), span, solve_b, c.budget);
-    const std::string where = "at " + std::to_string(threads) + " thread(s)";
-    if (base.output != run.output) {
-      return fail("snapshot: outputs diverge from the in-RAM instance " + where);
-    }
-    if (base.volume != run.volume || base.distance != run.distance ||
-        base.queries != run.queries) {
-      return fail("snapshot: per-start costs diverge from the in-RAM instance " + where);
-    }
-    if (!same_costs(base.stats, run.stats)) {
-      return fail("snapshot: aggregate costs diverge from the in-RAM instance " + where);
-    }
+    const std::string what =
+        "snapshot: vs the in-RAM instance at " + std::to_string(threads) + " thread(s),";
+    if (CheckResult r = same_sweep(base, run, what); !r) return r;
   }
   {
     ParallelRunner runner(8);
     runner.set_backend(ExecBackend::Batched);
     const auto planned =
         runner.run_planned(b, loaded.ids(), span, entry->plan, solve_b, c.budget);
-    if (base.output != planned.output || base.volume != planned.volume ||
-        base.distance != planned.distance || base.queries != planned.queries ||
-        !same_costs(base.stats, planned.stats)) {
-      return fail("snapshot: planned-backend sweep on the loaded instance diverges");
+    if (CheckResult r = same_sweep(base, planned, "snapshot: loaded planned-backend sweep");
+        !r) {
+      return r;
     }
   }
 
@@ -783,45 +777,26 @@ CheckResult check_mutation_case(const FuzzCase& c) {
     }
   }
 
-  // --- sweep differential: mutated vs naive-rebuilt, both backends, every
-  // cache policy, 1 and 8 threads --------------------------------------------
+  // --- sweep differential: mutated vs naive-rebuilt, both backends, 1 and 8
+  // threads ------------------------------------------------------------------
   const std::vector<NodeIndex> starts = case_starts(c, n);
   const std::span<const NodeIndex> span(starts);
   auto solve_mut = [&](auto& exec) { return mut.solve(exec); };
   auto solve_naive = [&](auto& exec) { return naive.solve(exec); };
-  auto config = [](CachePolicy p) {
-    CacheConfig cfg;
-    cfg.policy = p;
-    return cfg;
-  };
-  const auto base_mut = ParallelRunner(1, config(CachePolicy::Off))
-                            .run_at(gm, mut.ids(), span, solve_mut, c.budget);
-  const auto base_naive = ParallelRunner(1, config(CachePolicy::Off))
-                              .run_at(gn, naive.ids(), span, solve_naive, c.budget);
-  if (base_mut.output != base_naive.output) {
-    return fail("mutation: mutate-then-query diverges from rebuild-then-query");
+  const auto base_mut = ParallelRunner(1).run_at(gm, mut.ids(), span, solve_mut, c.budget);
+  const auto base_naive =
+      ParallelRunner(1).run_at(gn, naive.ids(), span, solve_naive, c.budget);
+  if (CheckResult r = same_sweep(base_naive, base_mut, "mutation: vs rebuild-then-query,");
+      !r) {
+    return r;
   }
-  if (base_mut.volume != base_naive.volume || base_mut.distance != base_naive.distance ||
-      base_mut.queries != base_naive.queries ||
-      !same_costs(base_mut.stats, base_naive.stats)) {
-    return fail("mutation: mutate-then-query costs diverge from rebuild-then-query");
-  }
-  for (const CachePolicy policy : {CachePolicy::Off, CachePolicy::Shared}) {
-    for (const int threads : {1, 8}) {
-      ParallelRunner runner(threads, config(policy));
-      runner.set_backend(ExecBackend::Batched);
-      const auto run =
-          runner.run_planned(gm, mut.ids(), span, entry->plan, solve_mut, c.budget);
-      const std::string where = std::string(cache_policy_name(policy)) + " at " +
-                                std::to_string(threads) + " thread(s)";
-      if (base_mut.output != run.output) {
-        return fail("mutation: planned-backend outputs diverge under " + where);
-      }
-      if (base_mut.volume != run.volume || base_mut.distance != run.distance ||
-          base_mut.queries != run.queries || !same_costs(base_mut.stats, run.stats)) {
-        return fail("mutation: planned-backend costs diverge under " + where);
-      }
-    }
+  for (const int threads : {1, 8}) {
+    ParallelRunner runner(threads);
+    runner.set_backend(ExecBackend::Batched);
+    const auto run = runner.run_planned(gm, mut.ids(), span, entry->plan, solve_mut, c.budget);
+    const std::string what =
+        "mutation: planned backend at " + std::to_string(threads) + " thread(s),";
+    if (CheckResult r = same_sweep(base_mut, run, what); !r) return r;
   }
 
   // --- warm cache + region invalidation: retained entries must serve the
@@ -829,7 +804,7 @@ CheckResult check_mutation_case(const FuzzCase& c) {
   // fill the cache, always at their plan radius ------------------------------
   if (entry->plan.batchable()) {
     const std::int64_t radius = entry->plan.radius;
-    ViewCache cache(config(CachePolicy::Shared));
+    ViewCache cache(CacheConfig{CachePolicy::Shared});
     cache.bind(g0);
     BatchedBallExecutor warm;
     warm.bind(g0);

@@ -71,24 +71,23 @@ struct CheckResult {
 // (unknown family, out-of-range variant) come back as failures.
 CheckResult check_case(const FuzzCase& c);
 
-// Cache-policy differential (runtime/view_cache.hpp): the family's planned
-// sweep over the case's starts listed twice, on the Batched backend under
-// CachePolicy Shared at 1 and 8 threads, must be bit-identical to the Basic
-// backend with the cache off in outputs and per-start/aggregate costs.  On
-// batchable plans every start is either fused or a cache hit, and the
-// serial sweep serves exactly the repeats whose first copy ran in an earlier
-// batch; other plans run per-start and report no cache traffic.  Run by the
-// driver when --cache is set.
+// View-cache differential (runtime/view_cache.hpp) on the serving protocol:
+// the case's starts, listed twice, driven through run_cached_ball_wave in
+// consecutive kMaxBatch-center waves over one bound Shared cache — serially
+// and from 8 workers — must be bit-identical to the Basic uncached sweep in
+// outputs and per-start/aggregate costs.  Every start is either fused or a
+// cache hit, and the serial run serves exactly the repeats whose first copy
+// ran in an earlier wave.  Families whose plan is not batchable cache
+// nothing and pass trivially.  Run by the driver when --cache is set.
 CheckResult check_cache_case(const FuzzCase& c);
 
 // Backend differential (plan/probe_plan.hpp + runtime/batched_execution.hpp):
-// the family's registered probe plan executed on the Batched backend, under
-// every cache policy at 1 and 8 threads, must be bit-identical to the Basic
-// backend in outputs and per-start/aggregate costs.  Also asserts the sweep
-// stats are tagged with the right plan/backend, that every start is accounted
-// for exactly once by the batch counters on batchable plans, and that a
-// budgeted/taped sweep (batched-ineligible) falls back to the basic path
-// bit-identically.  Run by the driver when --backend is set.
+// the family's registered probe plan executed on the Batched backend at 1
+// and 8 threads must be bit-identical to the Basic backend in outputs and
+// per-start/aggregate costs.  Also asserts the sweep stats are tagged with
+// the right plan/backend, that every start is accounted for exactly once by
+// the batch counters on batchable plans, and that a budgeted/taped sweep
+// (batched-ineligible) falls back to the basic path bit-identically.  Run by the driver when --backend is set.
 CheckResult check_backend_case(const FuzzCase& c);
 
 // Snapshot round-trip differential (io/snapshot.hpp): the case's instance
@@ -104,8 +103,8 @@ CheckResult check_snapshot_case(const FuzzCase& c);
 // instance and asserts mutate-then-query equals rebuild-from-scratch-then-
 // query — the CSR fast path and the Builder-based naive path produce
 // byte-identical graphs, the mutated instance sweeps bit-identically to the
-// naive rebuild on the Basic and Batched backends under every cache policy
-// at 1 and 8 threads, the pre-mutation instance is untouched (copy-on-
+// naive rebuild on the Basic and Batched backends at 1 and 8 threads, the
+// pre-mutation instance is untouched (copy-on-
 // write), and — for batchable plans, the only ones that fill the cache — a
 // Shared cache warmed on the old graph then region-invalidated serves
 // post-mutation queries bit-identical to cold recomputation, with

@@ -170,7 +170,7 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
     return report;
   }
   // With --cache / --backend / --snapshot / --mutate every case additionally
-  // runs the cache-policy / execution-backend / snapshot round-trip /
+  // runs the cached-wave / execution-backend / snapshot round-trip /
   // dynamic-graph differential; shrinking uses the same combined predicate so
   // minimized cases still fail for the reported reason.
   const auto predicate = [&opts](const FuzzCase& candidate) -> CheckResult {

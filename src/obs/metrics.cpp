@@ -14,7 +14,6 @@ void SweepMetrics::merge(const SweepMetrics& other) {
   stats.total_volume += other.stats.total_volume;
   stats.truncated += other.stats.truncated;
   stats.wall_seconds += other.stats.wall_seconds;
-  stats.cache += other.stats.cache;
   stats.batch += other.stats.batch;
   batched_sweeps += other.batched_sweeps;
   volume_hist.merge(other.volume_hist);
@@ -103,13 +102,10 @@ std::string SweepMetrics::to_json(const std::string& tool) const {
                   i ? ", " : "", p.name.c_str(), p.wall_seconds);
     out += buf;
   }
-  std::snprintf(buf, sizeof buf,
-                "], \"cache\": {\"policy\": \"%s\", \"hits\": %" PRId64
-                ", \"misses\": %" PRId64 ", \"evictions\": %" PRId64
-                ", \"served_nodes\": %" PRId64 ", \"inserted_bytes\": %" PRId64 "}",
-                cache_policy_name(stats.cache.policy), stats.cache.hits, stats.cache.misses,
-                stats.cache.evictions, stats.cache.served_nodes, stats.cache.inserted_bytes);
-  out += buf;
+  // Sweeps run uncached; the block keeps the artifact vocabulary shared with
+  // serving, whose cache fills it (perf::BenchArtifact).
+  out += "], \"cache\": {\"policy\": \"off\", \"hits\": 0, \"misses\": 0, "
+         "\"evictions\": 0, \"served_nodes\": 0, \"inserted_bytes\": 0}";
   std::snprintf(buf, sizeof buf,
                 ", \"batch\": {\"batched_sweeps\": %" PRId64 ", \"batches\": %" PRId64
                 ", \"batched_starts\": %" PRId64 ", \"waves\": %" PRId64

@@ -6,8 +6,8 @@
 // tape-bit high-water mark, and (when a SweepProfile was attached) wall time
 // per start and per-worker busy time.
 //
-// Determinism: every field except the wall-time and view-cache ones is
-// derived from the SweepResult's per-start slot vectors, which the engine guarantees are
+// Determinism: every field except the wall-time ones is derived from the
+// SweepResult's per-start slot vectors, which the engine guarantees are
 // bit-identical at any thread count — so metrics aggregated over a parallel
 // sweep equal the serial ones by construction (the same argument as the
 // runner's sup-cost merge).  tests/obs_test.cpp asserts totals equal the
@@ -69,7 +69,6 @@ struct SweepMetrics {
     stats.total_volume += result.stats.total_volume;
     stats.truncated += result.stats.truncated;
     stats.wall_seconds += result.stats.wall_seconds;
-    stats.cache += result.stats.cache;
     stats.batch += result.stats.batch;
     if (result.stats.backend == ExecBackend::Batched) ++batched_sweeps;
     for (std::size_t i = 0; i < result.volume.size(); ++i) {

@@ -113,9 +113,9 @@ class BatchedBallExecutor {
   std::vector<CachedBall> balls_;
 };
 
-// One cached ball wave: the cache-hit / fused-miss / store-back protocol that
-// whole-graph sweeps (ParallelRunner::run_planned) and the query service both
-// run per batch of at most kMaxBatch centers.
+// One cached ball wave: the cache-hit / fused-miss / store-back protocol the
+// query service runs per batch of at most kMaxBatch centers (sweeps call
+// exec.run() directly: their starts are distinct, so every one misses).
 //   * The cache epoch is read before any lookup.
 //   * Each full hit is reported at once as on_hit(i, costs), i indexing
 //     `centers`.

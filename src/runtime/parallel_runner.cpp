@@ -63,16 +63,12 @@ void note_sweep(const SweepStats& stats) {
   static obs::Counter* const c_queries = reg.counter("sweep.total_queries");
   static obs::Counter* const c_volume = reg.counter("sweep.total_volume");
   static obs::Counter* const c_truncated = reg.counter("sweep.truncated");
-  static obs::Counter* const c_cache_hits = reg.counter("sweep.cache.hits");
-  static obs::Counter* const c_cache_misses = reg.counter("sweep.cache.misses");
   static obs::Histogram* const h_max_volume = reg.histogram("sweep.max_volume");
   c_runs->inc();
   c_starts->inc(stats.starts);
   c_queries->inc(stats.total_queries);
   c_volume->inc(stats.total_volume);
   c_truncated->inc(stats.truncated);
-  c_cache_hits->inc(stats.cache.hits);
-  c_cache_misses->inc(stats.cache.misses);
   h_max_volume->add(stats.max_volume);
 }
 

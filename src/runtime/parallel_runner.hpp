@@ -57,6 +57,7 @@
 #include <functional>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -127,18 +128,23 @@ void note_sweep(const SweepStats& stats);
 
 class ParallelRunner {
  public:
-  // threads == 0: use VOLCAL_THREADS if set, else 1.  The cache policy for
-  // the runner's batched sweeps defaults to the environment (VOLCAL_CACHE /
-  // VOLCAL_CACHE_MB — off unless set), so `--cache shared` reaches every
-  // runner a bench builds; pass a CacheConfig to pin it programmatically.
+  // threads == 0: use VOLCAL_THREADS if set, else 1.
   explicit ParallelRunner(int threads = 0)
-      : ParallelRunner(threads, CacheConfig::from_env()) {}
+      : threads_(detail::resolve_thread_count(threads)) {}
 
-  ParallelRunner(int threads, CacheConfig cache)
-      : threads_(detail::resolve_thread_count(threads)), cache_config_(cache) {}
+  // Sweeps run uncached: their starts are distinct, so a ball cache could
+  // only add work.  The cross-request cache belongs to serve::QueryService.
+  // This overload accepts CachePolicy::Off only and throws on Shared, so a
+  // caller that asks for a sweep cache learns it gets none.
+  ParallelRunner(int threads, CacheConfig cache) : ParallelRunner(threads) {
+    if (cache.policy != CachePolicy::Off) {
+      throw std::invalid_argument(
+          "ParallelRunner: sweeps run uncached; the shared view cache is "
+          "serve::QueryService's (ServeConfig::cache)");
+    }
+  }
 
   int threads() const { return threads_; }
-  const CacheConfig& cache_config() const { return cache_config_; }
 
   // Execution backend for plan-dispatched sweeps (run_planned).  Defaults to
   // the environment (VOLCAL_BACKEND, Batched unless overridden — the batched
@@ -260,12 +266,7 @@ class ParallelRunner {
   // tape (a batchable plan's solver is deterministic by promise), and an
   // integral output (the plan's contract is output == ball size).  Everything
   // else takes the per-start loop with the plan recorded in the stats.
-  //
-  // The view cache lives on the batched path only: under Shared one
-  // sweep-scoped cache backs every batch's run_cached_ball_wave — full hits
-  // are served from it, only the misses are fused, and every completed
-  // expansion is stored; under Off every start is fused.  The per-start loop
-  // consults no cache and reports stats.cache as off with zero counters.
+  // Neither path consults a view cache: every batched start is fused.
   template <typename Solver>
   auto run_planned(GraphView g, const IdAssignment& ids,
                    std::span<const NodeIndex> starts, const ProbePlan& plan,
@@ -286,10 +287,10 @@ class ParallelRunner {
 
  private:
   // The batched engine loop: workers pull 64-start batches of *consecutive*
-  // starts (neighboring balls overlap most) off the atomic counter, run each
-  // as one cached ball wave (run_cached_ball_wave), and write per-start
-  // meters to disjoint slots.  Structure mirrors run_at_observed and ends in
-  // the same finish_sweep.
+  // starts (neighboring balls overlap most) off the atomic counter, fuse each
+  // into one BatchedBallExecutor run, and write per-start meters to disjoint
+  // slots.  Structure mirrors run_at_observed and ends in the same
+  // finish_sweep.
   template <typename Label>
   SweepResult<Label> run_batched_balls(GraphView g, std::span<const NodeIndex> starts,
                                        const ProbePlan& plan,
@@ -307,13 +308,6 @@ class ParallelRunner {
         static_cast<int>(std::min<std::int64_t>(threads_, std::max<std::int64_t>(count, 1)));
     constexpr std::int64_t kBatch = BatchedBallExecutor::kMaxBatch;
     std::atomic<std::int64_t> next{0};
-
-    std::optional<ViewCache> cache;
-    if (cache_config_.policy == CachePolicy::Shared) {
-      cache.emplace(cache_config_);
-      cache->bind(g);
-    }
-    ViewCache* const shared_cache = cache ? &*cache : nullptr;
     std::vector<BatchStats> worker_batch(static_cast<std::size_t>(workers));
 
     detail::run_on_workers(workers, [&](const int worker) {
@@ -324,24 +318,21 @@ class ParallelRunner {
            begin < count; begin = next.fetch_add(kBatch, std::memory_order_relaxed)) {
         const std::int64_t end = std::min(count, begin + kBatch);
         const auto batch_begin = profile ? std::chrono::steady_clock::now() : sweep_begin;
-        const auto record = [&](std::size_t k, const BallCosts& costs) {
-          const auto i = static_cast<std::size_t>(begin) + k;
-          result.output[i] = static_cast<Label>(costs.volume);
-          result.volume[i] = costs.volume;
-          result.distance[i] = costs.distance;
-          result.queries[i] = costs.queries;
-        };
-        run_cached_ball_wave(
-            exec, g,
-            starts.subspan(static_cast<std::size_t>(begin), static_cast<std::size_t>(end - begin)),
-            plan.radius, shared_cache, g.storage_identity(), record,
-            [&](std::span<const std::size_t> index, std::span<const BallCosts> costs) {
-              for (std::size_t s = 0; s < index.size(); ++s) record(index[s], costs[s]);
-              ++local.batches;
-              local.batched_starts += static_cast<std::int64_t>(index.size());
-              local.waves += exec.waves();
-              local.expanded_nodes += exec.expanded_nodes();
-            });
+        exec.run(starts.subspan(static_cast<std::size_t>(begin),
+                                static_cast<std::size_t>(end - begin)),
+                 plan.radius);
+        for (std::int64_t i = begin; i < end; ++i) {
+          const int slot = static_cast<int>(i - begin);
+          const auto k = static_cast<std::size_t>(i);
+          result.volume[k] = exec.volume(slot);
+          result.distance[k] = exec.distance(slot);
+          result.queries[k] = exec.queries(slot);
+          result.output[k] = static_cast<Label>(result.volume[k]);
+        }
+        ++local.batches;
+        local.batched_starts += end - begin;
+        local.waves += exec.waves();
+        local.expanded_nodes += exec.expanded_nodes();
         if (profile != nullptr) {
           const auto batch_end = std::chrono::steady_clock::now();
           const std::int64_t begin_ns =
@@ -377,7 +368,6 @@ class ParallelRunner {
         profile->worker_waves[static_cast<std::size_t>(w)] = wb.waves;
       }
     }
-    if (cache) result.stats.cache = cache->stats();
     finish_sweep(result, sweep_begin);
     return result;
   }
@@ -402,7 +392,6 @@ class ParallelRunner {
   }
 
   int threads_;
-  CacheConfig cache_config_;
   ExecBackend backend_ = backend_from_env();
 };
 

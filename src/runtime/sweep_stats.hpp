@@ -20,12 +20,11 @@
 
 namespace volcal {
 
-// Ball-cost memoization policy for batched sweeps and the query service
-// (runtime/view_cache.hpp); per-start sweeps consult no cache.
+// Ball-cost memoization policy of the query service (ServeConfig::cache,
+// runtime/view_cache.hpp); sweeps always run uncached.
 //   Off    — every ball wave fuses all of its centers (default);
-//   Shared — one cache shared by all batches (and workers) of the sweep, or
-//            by all requests of the service: repeated centers are served
-//            from memory.
+//   Shared — one cache shared by all requests (and workers) of the service:
+//            repeated centers are served from memory.
 // The policy never changes any deterministic output: a served ball reports
 // exactly the cost meters (volume / distance / query count, Defs. 2.1-2.2)
 // its direct exploration would.
@@ -35,10 +34,10 @@ constexpr const char* cache_policy_name(CachePolicy p) {
   return p == CachePolicy::Shared ? "shared" : "off";
 }
 
-// View-cache counters for one sweep.  All of these describe wall-time
-// amortization only — they are excluded from same_costs below because
-// hit/eviction interleaving under parallel sweeps is scheduling-dependent
-// (the *outputs* stay bit-identical; only these bookkeeping counters vary).
+// View-cache counters (ViewCache::stats).  All of these describe wall-time
+// amortization only: hit/eviction interleaving across concurrent waves is
+// scheduling-dependent (the *outputs* stay bit-identical; only these
+// bookkeeping counters vary).
 struct CacheStats {
   CachePolicy policy = CachePolicy::Off;
   std::int64_t hits = 0;            // lookups served from the cache
@@ -47,17 +46,7 @@ struct CacheStats {
   std::int64_t served_nodes = 0;    // summed volume of the balls served
   std::int64_t inserted_bytes = 0;  // bytes of entries stored or upgraded
 
-  CacheStats& operator+=(const CacheStats& o) {
-    if (o.policy != CachePolicy::Off) policy = o.policy;
-    hits += o.hits;
-    misses += o.misses;
-    evictions += o.evictions;
-    served_nodes += o.served_nodes;
-    inserted_bytes += o.inserted_bytes;
-    return *this;
-  }
-
-  // Counter delta (for persistent caches observed across several sweeps).
+  // Counter delta (a long-lived cache observed over one measurement window).
   friend CacheStats operator-(CacheStats a, const CacheStats& b) {
     a.hits -= b.hits;
     a.misses -= b.misses;
@@ -69,7 +58,7 @@ struct CacheStats {
 };
 
 // Batched-backend counters for one sweep (runtime/batched_execution.hpp).
-// Like CacheStats these describe how the work was performed, not what it
+// Like wall_seconds these describe how the work was performed, not what it
 // computed: batch composition follows the engine's chunking, which depends on
 // the thread count, so every field here is excluded from same_costs.
 struct BatchStats {
@@ -99,10 +88,6 @@ struct SweepStats {
   // default Label, per Remark 3.11).
   std::int64_t truncated = 0;
   double wall_seconds = 0.0;
-  // View-cache counters for the sweep (zeros under CachePolicy::Off).  Like
-  // wall_seconds these describe how the work was performed, not what it
-  // computed, and are excluded from same_costs.
-  CacheStats cache;
   // How the sweep was executed (filled by ParallelRunner::run_planned; plain
   // run_at sweeps keep the defaults).  Tags and counters, not costs — all
   // excluded from same_costs: the whole point of the plan layer is that the
@@ -112,7 +97,7 @@ struct SweepStats {
   BatchStats batch;
 
   // Deterministic fields only — the comparison the engine-equivalence tests
-  // and benches use (wall_seconds and the cache counters are intentionally
+  // and benches use (wall_seconds and the batch counters are intentionally
   // excluded).
   friend bool same_costs(const SweepStats& a, const SweepStats& b) {
     return a.starts == b.starts && a.max_volume == b.max_volume &&

@@ -1,19 +1,22 @@
 // ViewCache — memoized radius-r ball costs for the cached ball wave.
 //
 // Every upper-bound algorithm in the paper probes balls (Defs. 2.1-2.2), and
-// a sweep or a query stream that revisits a center re-derives the same BFS
+// a query stream that revisits a center re-derives the same BFS
 // ball: Θ(Δ^r) pointer-chasing per repeat for a ball(r) family.  The cache
 // stores, per center node, the per-depth summary of the ball's *canonical
 // BFS expansion* — volume and cumulative query count at every depth — and
 // serves the three cost meters of any radius up to the stored depth.
 //
+// Owner: the query service (serve::QueryService, ServeConfig::cache) — the
+// repeated-query setting where centers recur.  Sweeps never build one: their
+// starts are distinct, so a sweep-side cache could only add work.
+//
 // One protocol looks balls up and stores them: run_cached_ball_wave
-// (runtime/batched_execution.hpp), shared by batched sweeps
-// (ParallelRunner::run_planned) and the query service.  A wave reads the
-// epoch, serves full hits through serve_costs(), fuses the misses into one
-// BatchedBallExecutor run, and store()s each fused expansion.  The cache's
-// owner binds it and runs invalidate_region(); the per-start Execution does
-// not know the cache exists.
+// (runtime/batched_execution.hpp).  A wave reads the epoch, serves full hits
+// through serve_costs(), fuses the misses into one BatchedBallExecutor run,
+// and store()s each fused expansion.  The cache's owner binds it and runs
+// invalidate_region(); the per-start Execution does not know the cache
+// exists.
 //
 // Exactness contract (the reason results stay bit-identical under any
 // policy, thread count, or eviction schedule):
@@ -26,18 +29,23 @@
 //     store() keeps the deeper expansion.
 //   * Cost accounting is untouched: a served ball reports the volume,
 //     distance and query count the direct exploration would have produced.
-//     The cache amortizes wall time, never the model's costs (asserted
-//     per-sweep by bench_runner and fuzzed by tools/volcal_fuzz --cache).
+//     The cache amortizes wall time, never the model's costs (asserted per
+//     served query by bench_runner's hot-set rows, fuzzed by
+//     tools/volcal_fuzz --cache, and checked end to end by volcal_load
+//     --verify).
 //
 // Concurrency: the table is sharded by mix64(center); lookups take a shard
-// shared_mutex in shared mode (the hit path never takes an exclusive lock —
-// LRU ticks are relaxed atomics), inserts/evictions take it exclusive.
+// shared_mutex in shared mode (the hit path never takes an exclusive lock),
+// inserts/evictions take it exclusive.  Recency is one reference bit per
+// entry, set by a hit only when it is clear, so a hot entry's line is written
+// once per eviction round, not once per hit, and hits share no counter.
 // The hit/miss/eviction meters are obs::Counter (per-thread sharded), so
 // concurrent hits on different worker threads never contend on one counter
 // cache line; stats() sums the shards.
-// Memory is bounded by a byte budget split across shards with
-// LRU-by-shard eviction, so n = 2^20 sweeps cannot blow RSS.  Invalidation
-// is O(1): an epoch bump, with shards lazily cleared on next touch.
+// Memory is bounded by a byte budget split across shards with second-chance
+// (CLOCK-style) eviction per shard, so a long-running service cannot blow
+// RSS.  Invalidation is O(1): an epoch bump, with shards lazily cleared on
+// next touch.
 // Hot-swap safety: epochs alone cannot order a store against a concurrent
 // re-bind (a worker whose binding went stale before it captured the epoch
 // would park old-graph balls at the post-swap epoch), so every entry also
@@ -50,7 +58,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
-#include <iterator>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -65,16 +72,12 @@
 
 namespace volcal {
 
-// Cache knob for batched sweeps (ParallelRunner::run_planned) and the query
-// service; per-start sweeps never consult a cache.  The environment form is
-// what the bench flag `--cache <off|shared>` exports:
-//   VOLCAL_CACHE    = off | shared              (default off)
-//   VOLCAL_CACHE_MB = byte budget in MiB        (default 256)
+// Cache knob of the query service (ServeConfig::cache; volcal_serve
+// --cache / --cache-mb).
 struct CacheConfig {
   CachePolicy policy = CachePolicy::Off;
   std::size_t byte_budget = std::size_t{256} << 20;
 
-  static CacheConfig from_env();
   static bool policy_from_name(const char* name, CachePolicy* out);
 };
 
@@ -131,9 +134,8 @@ class ViewCache {
   const CacheConfig& config() const { return config_; }
 
   // Binds the cache to one graph.  Entries are only valid for the bound
-  // graph; binding a different one invalidates everything first.  Callers
-  // bind before every wave (the sweep engine once per batched sweep, the
-  // query service under its target lock per wave).  Identity is the
+  // graph; binding a different one invalidates everything first.  The query
+  // service binds it under its target lock before every wave.  Identity is the
   // view's storage *token* (graph_view.hpp), minted once per build / adopt /
   // snapshot load and never reused in a process — so an owning Graph and a
   // snapshot mapping of the same instance are, correctly, different cache
@@ -325,7 +327,10 @@ class ViewCache {
           Entry& entry = *it->second;
           const CachedBall& ball = entry.ball;
           if (ball.depth >= radius || ball.exhausted) {
-            entry.last_used.store(tick(), std::memory_order_relaxed);
+            // Test before set: a hot entry's line stays shared across hits.
+            if (!entry.referenced.load(std::memory_order_relaxed)) {
+              entry.referenced.store(true, std::memory_order_relaxed);
+            }
             const std::int64_t d = std::min(radius, ball.depth);
             out->volume = ball.level_end[static_cast<std::size_t>(d)];
             out->distance = ball.max_layer(radius);
@@ -341,8 +346,9 @@ class ViewCache {
     return false;
   }
 
-  // Inserts (or deepens) the entry for `center`, evicting LRU entries of the
-  // shard until the shard byte budget holds.  `token` is the storage identity
+  // Inserts (or deepens) the entry for `center`, evicting entries of the
+  // shard (second chance, see evict_one_locked) until the shard byte budget
+  // holds.  `token` is the storage identity
   // the ball was computed against; a store whose token no longer matches the
   // current binding is dropped.  The epoch check alone cannot catch a worker
   // whose binding went stale *before* it captured the epoch (it would store
@@ -376,12 +382,11 @@ class ViewCache {
       return;
     }
     while (shard.bytes + size > budget && !shard.map.empty()) {
-      evict_lru_locked(shard);
+      evict_one_locked(shard);
     }
     auto entry = std::make_unique<Entry>();
     entry->ball = std::move(ball);
     entry->token = token;
-    entry->last_used.store(tick(), std::memory_order_relaxed);
     shard.bytes += size;
     inserted_bytes_.inc(static_cast<std::int64_t>(size));
     shard.map.emplace(center, std::move(entry));
@@ -396,7 +401,8 @@ class ViewCache {
     // entry only when it matches the queried view's token, so balls parked
     // by a worker racing a hot swap can never answer for the wrong graph.
     StorageToken token = kAnonymousStorage;
-    std::atomic<std::uint64_t> last_used{0};
+    // Set by a hit since the last eviction scan passed this entry.
+    std::atomic<bool> referenced{false};
   };
 
   struct Shard {
@@ -412,8 +418,6 @@ class ViewCache {
     return shards_[splitmix64(static_cast<std::uint64_t>(center)) & (kShards - 1)];
   }
 
-  std::uint64_t tick() { return tick_.fetch_add(1, std::memory_order_relaxed); }
-
   // Lazy epoch reconciliation: drop the shard's content if the cache was
   // invalidated since the shard was last touched.  Caller holds shard.mu
   // exclusively.
@@ -424,14 +428,16 @@ class ViewCache {
     shard.epoch = epoch;
   }
 
-  void evict_lru_locked(Shard& shard) {
+  // Second chance: the scan clears the reference bits it passes and evicts
+  // the first entry found clear; when every bit was set, the scan has
+  // cleared them all and the first entry goes.  Caller holds shard.mu
+  // exclusively (no hit can set a bit mid-scan).
+  void evict_one_locked(Shard& shard) {
     auto victim = shard.map.begin();
-    std::uint64_t oldest = victim->second->last_used.load(std::memory_order_relaxed);
-    for (auto it = std::next(shard.map.begin()); it != shard.map.end(); ++it) {
-      const std::uint64_t used = it->second->last_used.load(std::memory_order_relaxed);
-      if (used < oldest) {
-        oldest = used;
+    for (auto it = shard.map.begin(); it != shard.map.end(); ++it) {
+      if (!it->second->referenced.exchange(false, std::memory_order_relaxed)) {
         victim = it;
+        break;
       }
     }
     shard.bytes -= victim->second->ball.bytes();
@@ -443,7 +449,6 @@ class ViewCache {
   std::unique_ptr<Shard[]> shards_;
   std::atomic<StorageToken> bound_{kAnonymousStorage};
   std::atomic<std::uint64_t> epoch_{1};
-  std::atomic<std::uint64_t> tick_{1};
   obs::Counter hits_;
   obs::Counter misses_;
   obs::Counter evictions_;

@@ -455,8 +455,7 @@ void QueryService::worker_loop(int worker) {
 
     if (target->plan.batchable()) {
       // The fused path: invalid ids are answered at triage, the rest run as
-      // one cached ball wave — the same function ParallelRunner's batched
-      // sweeps use (runtime/batched_execution.hpp).
+      // one cached ball wave (runtime/batched_execution.hpp).
       if (!exec_bound || exec_token != g.storage_identity() ||
           exec_token == kAnonymousStorage) {
         exec.bind(g);

@@ -3,14 +3,16 @@
 // The offline engine (ParallelRunner) answers "label every node" sweeps; the
 // service answers the online form of the same question: per-node label
 // queries arriving one at a time, from many clients, against a loaded
-// instance (typically a .vsnap mapping).  Three properties carry over from
+// instance (typically a .vsnap mapping).  It owns the only view cache: a
+// sweep's starts are distinct, a query stream's repeat.  Three properties carry over from
 // the sweep engine, by construction:
 //
-//   * Bit-identical answers.  The batched path below mirrors
-//     ParallelRunner::run_batched_balls query-for-query (cache full hits via
+//   * Bit-identical answers.  The batched path runs one cached ball wave
+//     per popped batch (run_cached_ball_wave: cache full hits via
 //     serve_costs, misses fused into one BatchedBallExecutor run, completed
-//     expansions stored back at the captured epoch); the basic path runs the
-//     family's solve() on a plain Execution.  Either way a served label
+//     expansions stored back at the captured epoch) — the same per-start
+//     meters as ParallelRunner's batched sweeps, which fuse every start; the
+//     basic path runs the family's solve() on a plain Execution.  Either way a served label
 //     equals the offline run_at_all_nodes output for that node — volcal_load
 //     --verify asserts this end to end.
 //

@@ -6,6 +6,7 @@
 #include <limits>
 #include <mutex>
 #include <set>
+#include <utility>
 
 namespace volcal::env {
 
@@ -40,30 +41,31 @@ std::optional<std::string> raw(const char* name) {
   return std::string(v);
 }
 
+std::optional<std::int64_t> parse_positive_int(const char* text, std::int64_t max_value,
+                                               std::string* reason) {
+  const auto reject = [&](std::string why) -> std::optional<std::int64_t> {
+    if (reason != nullptr) *reason = std::move(why);
+    return std::nullopt;
+  };
+  if (*text == '\0') return reject("empty value");
+  errno = 0;
+  char* end = nullptr;
+  const long long parsed = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0') return reject("not an integer");
+  if (errno == ERANGE || parsed > max_value) {
+    return reject("exceeds maximum " + std::to_string(max_value));
+  }
+  if (parsed <= 0) return reject("must be a positive integer");
+  return parsed;
+}
+
 std::optional<std::int64_t> positive_int(const char* name, std::int64_t max_value,
                                          const std::string& fallback_desc) {
   const char* v = std::getenv(name);
   if (v == nullptr) return std::nullopt;
-  if (*v == '\0') {
-    warn_invalid(name, v, "empty value", fallback_desc);
-    return std::nullopt;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(v, &end, 10);
-  if (end == v || *end != '\0') {
-    warn_invalid(name, v, "not an integer", fallback_desc);
-    return std::nullopt;
-  }
-  if (errno == ERANGE || parsed > max_value) {
-    warn_invalid(name, v, "exceeds maximum " + std::to_string(max_value),
-                 fallback_desc);
-    return std::nullopt;
-  }
-  if (parsed <= 0) {
-    warn_invalid(name, v, "must be a positive integer", fallback_desc);
-    return std::nullopt;
-  }
+  std::string reason;
+  const auto parsed = parse_positive_int(v, max_value, &reason);
+  if (!parsed) warn_invalid(name, v, reason, fallback_desc);
   return parsed;
 }
 

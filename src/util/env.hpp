@@ -1,13 +1,13 @@
 // Strict environment-variable parsing with loud (but one-time) fallback.
 //
 // Every VOLCAL_* knob used to have its own ad-hoc parser, and each one
-// swallowed misconfiguration silently: `VOLCAL_CACHE=sharde` ran uncached,
-// `VOLCAL_CACHE_MB=abc` (atoll → 0) kept the default budget, and
-// `VOLCAL_THREADS=eight` ran serial — all without a word.  These helpers
-// parse strictly (whole string must be consumed, value must be in range) and
-// emit exactly one stderr warning per variable per process naming the
-// variable, the rejected value, and the fallback actually used.  A valid
-// value never warns, and an unset variable is not a misconfiguration.
+// swallowed misconfiguration silently: `VOLCAL_THREADS=eight` ran serial
+// without a word.  These helpers parse strictly (whole string must be
+// consumed, value must be in range) and emit exactly one stderr warning per
+// variable per process naming the variable, the rejected value, and the
+// fallback actually used.  A valid value never warns, and an unset variable
+// is not a misconfiguration.  The string-level parse_positive_int is shared
+// with command-line flags (volcal_serve --cache-mb).
 #pragma once
 
 #include <cstdint>
@@ -15,6 +15,12 @@
 #include <string>
 
 namespace volcal::env {
+
+// `text` parsed as a strictly positive integer <= max_value; the whole string
+// must be consumed.  On rejection returns nullopt and, when `reason` is
+// non-null, stores why ("empty value", "not an integer", ...).
+std::optional<std::int64_t> parse_positive_int(const char* text, std::int64_t max_value,
+                                               std::string* reason = nullptr);
 
 // getenv(name) parsed as a strictly positive integer <= max_value.  Returns
 // nullopt (after a one-time warning describing `fallback_desc`) when the

@@ -6,6 +6,7 @@
 
 #include <cstdlib>
 #include <limits>
+#include <string>
 
 #include "plan/probe_plan.hpp"
 #include "util/env.hpp"
@@ -52,6 +53,23 @@ TEST_F(EnvTest, RejectsGarbageWithOneWarningPerVariable) {
     EXPECT_EQ(env::positive_int("VOLCAL_TEST_KNOB", 256, "default"), std::nullopt);
     EXPECT_EQ(env::warning_count_for_testing(), 1);
   }
+}
+
+// The string-level parse behind positive_int and volcal_serve --cache-mb:
+// strict, with a reason on rejection, and silent (warning is the caller's).
+TEST_F(EnvTest, ParsePositiveIntRejectsJunkWithAReason) {
+  constexpr std::int64_t kMaxMb = std::int64_t{1} << 20;
+  EXPECT_EQ(env::parse_positive_int("32", kMaxMb), 32);
+  for (const char* bad : {"lots", "-5", "0", "12junk"}) {
+    std::string why;
+    EXPECT_EQ(env::parse_positive_int(bad, kMaxMb, &why), std::nullopt)
+        << "value \"" << bad << "\" should be rejected";
+    EXPECT_FALSE(why.empty()) << "value \"" << bad << "\"";
+  }
+  std::string why;
+  EXPECT_EQ(env::parse_positive_int("1048577", kMaxMb, &why), std::nullopt);
+  EXPECT_EQ(why, "exceeds maximum 1048576");
+  EXPECT_EQ(env::warning_count_for_testing(), 0);
 }
 
 TEST_F(EnvTest, MbToBytesIsOverflowSafe) {

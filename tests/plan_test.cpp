@@ -237,7 +237,7 @@ TEST(BatchedBallExecutor, CanonicalBallsInstallIntoViewCache) {
 
 // --- sweep equivalence across the whole registry ---------------------------
 
-TEST(PlannedSweep, BatchedBitIdenticalForEveryFamilyPolicyAndThreadCount) {
+TEST(PlannedSweep, BatchedBitIdenticalForEveryFamilyAndThreadCount) {
   for (const RegistryEntry* entry : ProblemRegistry::global().match("")) {
     const ErasedInstance inst = entry->make(200, /*seed=*/3);
     std::vector<NodeIndex> starts(static_cast<std::size_t>(inst.node_count()));
@@ -247,39 +247,29 @@ TEST(PlannedSweep, BatchedBitIdenticalForEveryFamilyPolicyAndThreadCount) {
     const std::span<const NodeIndex> span(starts);
     auto solve = [&](auto& exec) { return inst.solve(exec); };
 
-    CacheConfig off;
-    off.policy = CachePolicy::Off;
-    ParallelRunner base(1, off);
+    ParallelRunner base(1);
     base.set_backend(ExecBackend::Basic);
     const auto baseline = base.run_planned(inst.graph(), inst.ids(), span, entry->plan, solve);
     EXPECT_EQ(baseline.stats.backend, ExecBackend::Basic) << entry->name;
     EXPECT_EQ(baseline.stats.plan, entry->plan.kind) << entry->name;
 
-    for (const CachePolicy policy : {CachePolicy::Off, CachePolicy::Shared}) {
-      for (const int threads : {1, 8}) {
-        CacheConfig cfg;
-        cfg.policy = policy;
-        ParallelRunner runner(threads, cfg);
-        runner.set_backend(ExecBackend::Batched);
-        const auto run =
-            runner.run_planned(inst.graph(), inst.ids(), span, entry->plan, solve);
-        const std::string where = entry->name + " / " +
-                                  std::string(cache_policy_name(policy)) + " x" +
-                                  std::to_string(threads);
-        EXPECT_EQ(baseline.output, run.output) << where;
-        EXPECT_EQ(baseline.volume, run.volume) << where;
-        EXPECT_EQ(baseline.distance, run.distance) << where;
-        EXPECT_EQ(baseline.queries, run.queries) << where;
-        EXPECT_TRUE(same_costs(baseline.stats, run.stats)) << where;
-        EXPECT_EQ(run.stats.plan, entry->plan.kind) << where;
-        const ExecBackend expected_backend =
-            entry->plan.batchable() ? ExecBackend::Batched : ExecBackend::Basic;
-        EXPECT_EQ(run.stats.backend, expected_backend) << where;
-        if (entry->plan.batchable()) {
-          EXPECT_EQ(run.stats.batch.batched_starts + run.stats.cache.hits,
-                    static_cast<std::int64_t>(starts.size()))
-              << where;
-        }
+    for (const int threads : {1, 8}) {
+      ParallelRunner runner(threads);
+      runner.set_backend(ExecBackend::Batched);
+      const auto run = runner.run_planned(inst.graph(), inst.ids(), span, entry->plan, solve);
+      const std::string where = entry->name + " x" + std::to_string(threads);
+      EXPECT_EQ(baseline.output, run.output) << where;
+      EXPECT_EQ(baseline.volume, run.volume) << where;
+      EXPECT_EQ(baseline.distance, run.distance) << where;
+      EXPECT_EQ(baseline.queries, run.queries) << where;
+      EXPECT_TRUE(same_costs(baseline.stats, run.stats)) << where;
+      EXPECT_EQ(run.stats.plan, entry->plan.kind) << where;
+      const ExecBackend expected_backend =
+          entry->plan.batchable() ? ExecBackend::Batched : ExecBackend::Basic;
+      EXPECT_EQ(run.stats.backend, expected_backend) << where;
+      if (entry->plan.batchable()) {
+        EXPECT_EQ(run.stats.batch.batched_starts, static_cast<std::int64_t>(starts.size()))
+            << where;
       }
     }
   }

@@ -2,20 +2,21 @@
 // through the cached ball wave (run_cached_ball_wave, the one path into the
 // cache) must report exactly the volume/distance/query meters of a direct
 // explore_ball — on a miss, a full hit, a shorter-radius prefix, a deeper
-// radius than stored, and an exhausted component — under every policy, any
-// thread count, and any eviction schedule.  Plus the ExecutionScratch epoch
-// wrap-around regression and CacheConfig env parsing.
+// radius than stored, and an exhausted component — from any number of
+// workers, and under any eviction schedule.  Plus the ExecutionScratch epoch
+// wrap-around regression, and that sweeps refuse a cache.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "labels/generators.hpp"
 #include "lcl/registry.hpp"
-#include "util/env.hpp"
 #include "volcal/runtime.hpp"
 
 namespace volcal {
@@ -160,68 +161,54 @@ TEST(ViewCache, InvalidateDropsEntriesAndBindSwitchesGraphs) {
   EXPECT_EQ(direct_ball(b.graph, b.ids, 7, 5), cached_ball(b.graph, cache, 7, 5));
 }
 
-TEST(ViewCache, CacheConfigFromEnvParsing) {
-  ASSERT_EQ(setenv("VOLCAL_CACHE", "shared", 1), 0);
-  ASSERT_EQ(setenv("VOLCAL_CACHE_MB", "32", 1), 0);
-  CacheConfig c = CacheConfig::from_env();
-  EXPECT_EQ(c.policy, CachePolicy::Shared);
-  EXPECT_EQ(c.byte_budget, std::size_t{32} << 20);
-  // `perstart` / `per-start` name no policy: Off, with exactly one warning.
-  for (const char* removed : {"perstart", "per-start"}) {
-    SCOPED_TRACE(removed);
-    env::reset_warnings_for_testing();
-    ASSERT_EQ(setenv("VOLCAL_CACHE", removed, 1), 0);
-    EXPECT_EQ(CacheConfig::from_env().policy, CachePolicy::Off);
-    EXPECT_EQ(env::warning_count_for_testing(), 1);
+TEST(ViewCache, PolicyFromName) {
+  CachePolicy parsed = CachePolicy::Off;
+  EXPECT_TRUE(CacheConfig::policy_from_name("shared", &parsed));
+  EXPECT_EQ(parsed, CachePolicy::Shared);
+  EXPECT_TRUE(CacheConfig::policy_from_name("off", &parsed));
+  EXPECT_EQ(parsed, CachePolicy::Off);
+  // `perstart` / `per-start` name no policy; rejection leaves the output alone.
+  parsed = CachePolicy::Shared;
+  for (const char* removed : {"perstart", "per-start", "sharde"}) {
+    EXPECT_FALSE(CacheConfig::policy_from_name(removed, &parsed)) << removed;
+    EXPECT_EQ(parsed, CachePolicy::Shared);
   }
-  CachePolicy parsed = CachePolicy::Shared;
-  EXPECT_FALSE(CacheConfig::policy_from_name("perstart", &parsed));
-  EXPECT_EQ(parsed, CachePolicy::Shared);  // untouched on rejection
-  ASSERT_EQ(setenv("VOLCAL_CACHE", "not-a-policy", 1), 0);
-  EXPECT_EQ(CacheConfig::from_env().policy, CachePolicy::Off);  // safe default
-  ASSERT_EQ(setenv("VOLCAL_CACHE", "off", 1), 0);
-  EXPECT_EQ(CacheConfig::from_env().policy, CachePolicy::Off);
-  ASSERT_EQ(unsetenv("VOLCAL_CACHE"), 0);
-  ASSERT_EQ(unsetenv("VOLCAL_CACHE_MB"), 0);
-  EXPECT_EQ(CacheConfig::from_env().policy, CachePolicy::Off);
 }
 
-// Misconfigured cache env vars keep their safe defaults but warn exactly
-// once per variable (util/env.hpp): a typo'd policy or a non-numeric /
-// non-positive budget used to be swallowed silently.
-TEST(ViewCache, CacheConfigFromEnvWarnsOnMisconfiguration) {
-  env::reset_warnings_for_testing();
-  ASSERT_EQ(setenv("VOLCAL_CACHE", "sharde", 1), 0);
-  ASSERT_EQ(setenv("VOLCAL_CACHE_MB", "lots", 1), 0);
-  CacheConfig c = CacheConfig::from_env();
-  EXPECT_EQ(c.policy, CachePolicy::Off);
-  EXPECT_EQ(c.byte_budget, std::size_t{256} << 20);  // default kept
-  EXPECT_EQ(env::warning_count_for_testing(), 2);
-  // Re-reading does not warn again (one-time per variable per process).
-  c = CacheConfig::from_env();
-  EXPECT_EQ(env::warning_count_for_testing(), 2);
-
-  env::reset_warnings_for_testing();
-  ASSERT_EQ(unsetenv("VOLCAL_CACHE"), 0);
-  ASSERT_EQ(setenv("VOLCAL_CACHE_MB", "0", 1), 0);
-  EXPECT_EQ(CacheConfig::from_env().byte_budget, std::size_t{256} << 20);
-  ASSERT_EQ(setenv("VOLCAL_CACHE_MB", "-5", 1), 0);
-  EXPECT_EQ(CacheConfig::from_env().byte_budget, std::size_t{256} << 20);
-  ASSERT_EQ(setenv("VOLCAL_CACHE_MB", "12junk", 1), 0);
-  EXPECT_EQ(CacheConfig::from_env().byte_budget, std::size_t{256} << 20);
-  EXPECT_EQ(env::warning_count_for_testing(), 1);  // same variable: once
-
-  env::reset_warnings_for_testing();
-  ASSERT_EQ(unsetenv("VOLCAL_CACHE"), 0);
-  ASSERT_EQ(unsetenv("VOLCAL_CACHE_MB"), 0);
-  CacheConfig d = CacheConfig::from_env();
-  EXPECT_EQ(d.policy, CachePolicy::Off);
-  EXPECT_EQ(d.byte_budget, std::size_t{256} << 20);
-  EXPECT_EQ(env::warning_count_for_testing(), 0);  // unset is not an error
+// Second-chance eviction: a hit marks its entry referenced, and the eviction
+// scan spares it once (clearing the bit) and takes an unreferenced entry.
+TEST(ViewCache, ReferencedEntrySurvivesAnEvictionRound) {
+  const auto inst = make_complete_binary_tree(8, Color::Red, Color::Blue);
+  const StorageToken token = inst.graph.view().storage_identity();
+  // Three centers in one shard (the table shards by splitmix64(center) over
+  // 64 shards; if that changes, the entry counts below fail loudly).
+  std::vector<NodeIndex> same;
+  const std::uint64_t shard = splitmix64(0) & 63;
+  for (NodeIndex v = 0; same.size() < 3 && v < inst.node_count(); ++v) {
+    if ((splitmix64(static_cast<std::uint64_t>(v)) & 63) == shard) same.push_back(v);
+  }
+  ASSERT_EQ(same.size(), 3u);
+  // Room for two point balls per shard, not three.
+  const std::size_t entry = point_ball().bytes();
+  CacheConfig config;
+  config.policy = CachePolicy::Shared;
+  config.byte_budget = 64 * (2 * entry + entry / 2);
+  ViewCache cache(config);
+  cache.bind(inst.graph);
+  cache.store(same[0], point_ball(), cache.epoch(), token);
+  cache.store(same[1], point_ball(), cache.epoch(), token);
+  ASSERT_EQ(cache.entry_count(), 2u);
+  BallCosts costs;
+  ASSERT_TRUE(cache.serve_costs(inst.graph, same[0], 0, &costs));  // referenced
+  cache.store(same[2], point_ball(), cache.epoch(), token);
+  EXPECT_EQ(cache.entry_count(), 2u);
+  EXPECT_EQ(cache.stats().evictions, 1);
+  EXPECT_TRUE(cache.serve_costs(inst.graph, same[0], 0, &costs));
+  EXPECT_FALSE(cache.serve_costs(inst.graph, same[1], 0, &costs));
+  EXPECT_TRUE(cache.serve_costs(inst.graph, same[2], 0, &costs));
 }
 
-// --- Sweep-level equivalence: per-start sweeps consult no cache under any
-// --- policy; batched sweeps serve repeated starts from the sweep's cache.
+// --- Sweeps run uncached; repeated centers are served on the wave path ----
 
 CacheConfig policy_config(CachePolicy policy) {
   CacheConfig c;
@@ -229,65 +216,77 @@ CacheConfig policy_config(CachePolicy policy) {
   return c;
 }
 
-TEST(ViewCacheSweep, PerStartSweepsConsultNoCacheUnderAnyPolicy) {
+TEST(ViewCacheSweep, SweepsRunUncachedAndRejectASharedCache) {
   for (const RegistryEntry& entry : ProblemRegistry::global().entries()) {
     SCOPED_TRACE(entry.name);
     const ErasedInstance inst = entry.make(300, /*seed=*/21);
     auto solver = [&](Execution& exec) { return inst.solve(exec); };
     const auto baseline = ParallelRunner(1, policy_config(CachePolicy::Off))
                               .run_at_all_nodes(inst.graph(), inst.ids(), solver);
-    for (const CachePolicy policy : {CachePolicy::Off, CachePolicy::Shared}) {
-      for (const int threads : {1, 8}) {
-        const auto run = ParallelRunner(threads, policy_config(policy))
-                             .run_at_all_nodes(inst.graph(), inst.ids(), solver);
-        EXPECT_EQ(baseline.output, run.output)
-            << cache_policy_name(policy) << " @ " << threads << " threads";
-        EXPECT_EQ(baseline.volume, run.volume);
-        EXPECT_EQ(baseline.distance, run.distance);
-        EXPECT_EQ(baseline.queries, run.queries);
-        EXPECT_TRUE(same_costs(baseline.stats, run.stats));
-        EXPECT_EQ(run.stats.cache.policy, CachePolicy::Off);
-        EXPECT_EQ(run.stats.cache.hits, 0);
-        EXPECT_EQ(run.stats.cache.misses, 0);
-        EXPECT_EQ(run.stats.cache.inserted_bytes, 0);
-      }
-    }
+    const auto run = ParallelRunner(8, policy_config(CachePolicy::Off))
+                         .run_at_all_nodes(inst.graph(), inst.ids(), solver);
+    EXPECT_EQ(baseline.output, run.output);
+    EXPECT_EQ(baseline.volume, run.volume);
+    EXPECT_EQ(baseline.distance, run.distance);
+    EXPECT_EQ(baseline.queries, run.queries);
+    EXPECT_TRUE(same_costs(baseline.stats, run.stats));
   }
+  // A caller asking a sweep for a cache learns it gets none.
+  EXPECT_THROW(ParallelRunner(1, policy_config(CachePolicy::Shared)), std::invalid_argument);
 }
 
-TEST(ViewCacheSweep, SharedPolicyHitsOnRepeatedStarts) {
+// The serving protocol over one cache shared by several workers (the same
+// interleaving the query service runs; the tsan CI job runs this test).
+TEST(ViewCacheWave, SharedCacheHitsOnRepeatedStarts) {
   const auto inst = make_complete_binary_tree(8, Color::Red, Color::Blue);
+  const GraphView g = inst.graph;
   constexpr std::int64_t kRadius = 4;
-  // Three centers cycled over 160 starts: the first 64-start batch fuses
-  // every start (a wave looks all its centers up before storing any); the
-  // 96 starts of the two later batches repeat stored centers.
+  constexpr auto kBatch = static_cast<std::size_t>(BatchedBallExecutor::kMaxBatch);
+  // Three centers cycled over 160 starts in consecutive 64-center waves: the
+  // first wave fuses every start (a wave looks all its centers up before
+  // storing any); the 96 starts of the two later waves repeat stored centers.
   std::vector<NodeIndex> starts;
   for (int i = 0; i < 160; ++i) starts.push_back(NodeIndex{(i % 3) * 5});
-  auto solver = [](Execution& exec) {
-    return static_cast<int>(explore_ball(exec, kRadius).size());
-  };
-  const ProbePlan plan = ProbePlan::batched_ball(kRadius);
-  ParallelRunner basic(1, policy_config(CachePolicy::Off));
-  basic.set_backend(ExecBackend::Basic);
-  const auto off = basic.run_planned(inst.graph, inst.ids, starts, plan, solver);
-  for (const int threads : {1, 8}) {
-    ParallelRunner runner(threads, policy_config(CachePolicy::Shared));
-    runner.set_backend(ExecBackend::Batched);
-    const auto shared = runner.run_planned(inst.graph, inst.ids, starts, plan, solver);
-    EXPECT_EQ(off.output, shared.output);
-    EXPECT_EQ(off.queries, shared.queries);
-    EXPECT_TRUE(same_costs(off.stats, shared.stats));
-    EXPECT_EQ(shared.stats.cache.policy, CachePolicy::Shared);
-    EXPECT_EQ(shared.stats.cache.hits + shared.stats.cache.misses,
-              static_cast<std::int64_t>(starts.size()));
-    EXPECT_EQ(shared.stats.batch.batched_starts + shared.stats.cache.hits,
-              static_cast<std::int64_t>(starts.size()));
-    // Concurrent batches can both miss a center, so the exact split is
+  const std::span<const NodeIndex> span(starts);
+  for (const int workers : {1, 8}) {
+    SCOPED_TRACE(workers);
+    ViewCache cache(policy_config(CachePolicy::Shared));
+    cache.bind(g);
+    std::vector<BallMeters> served(starts.size());
+    std::atomic<std::size_t> next{0};
+    std::atomic<std::int64_t> fused{0};
+    detail::run_on_workers(workers, [&](int) {
+      BatchedBallExecutor exec;
+      exec.bind(g);
+      for (std::size_t begin = next.fetch_add(kBatch); begin < starts.size();
+           begin = next.fetch_add(kBatch)) {
+        const std::size_t len = std::min(kBatch, starts.size() - begin);
+        run_cached_ball_wave(
+            exec, g, span.subspan(begin, len), kRadius, &cache, g.storage_identity(),
+            [&](std::size_t k, const BallCosts& c) {
+              served[begin + k] = {c.volume, c.distance, c.queries};
+            },
+            [&](std::span<const std::size_t> index, std::span<const BallCosts> costs) {
+              for (std::size_t s = 0; s < index.size(); ++s) {
+                served[begin + index[s]] = {costs[s].volume, costs[s].distance,
+                                            costs[s].queries};
+              }
+              fused.fetch_add(static_cast<std::int64_t>(index.size()));
+            });
+      }
+    });
+    for (std::size_t i = 0; i < starts.size(); ++i) {
+      EXPECT_EQ(served[i], direct_ball(g, inst.ids, starts[i], kRadius)) << "start " << i;
+    }
+    const CacheStats stats = cache.stats();
+    EXPECT_EQ(stats.hits + stats.misses, static_cast<std::int64_t>(starts.size()));
+    EXPECT_EQ(fused.load() + stats.hits, static_cast<std::int64_t>(starts.size()));
+    // Concurrent waves can both miss a center, so the exact split is
     // serial-only.
-    if (threads == 1) {
-      EXPECT_EQ(shared.stats.cache.misses, 64);
-      EXPECT_EQ(shared.stats.cache.hits, 96);
-      EXPECT_GT(shared.stats.cache.served_nodes, 0);
+    if (workers == 1) {
+      EXPECT_EQ(stats.misses, 64);
+      EXPECT_EQ(stats.hits, 96);
+      EXPECT_GT(stats.served_nodes, 0);
     }
   }
 }

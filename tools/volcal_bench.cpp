@@ -109,7 +109,6 @@ perf::BenchArtifact run_family(const RegistryEntry& entry, std::int64_t max_n,
                      [&](Execution& exec) { return inst.solve(exec); },
                      /*tape=*/nullptr, /*threads=*/0, entry.plan);
     }
-    art.cache += cost.cache;
     const auto nd = static_cast<double>(n);
     // The sweep's wall time rides on the volume curve only, so per-curve
     // attribution in the diff tool does not triple-count it.

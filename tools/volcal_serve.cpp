@@ -54,6 +54,7 @@
 #include <string>
 
 #include "perf/artifact.hpp"
+#include "util/env.hpp"
 #include "volcal/io.hpp"
 #include "volcal/problems.hpp"
 #include "volcal/serve.hpp"
@@ -187,7 +188,14 @@ int run(int argc, char** argv) {
         return 2;
       }
     } else if (const char* v = value_of("--cache-mb")) {
-      config.cache.byte_budget = static_cast<std::size_t>(std::atoll(v)) << 20;
+      // 1 TiB cap: far above any real budget, far below size_t overflow.
+      std::string why;
+      const auto mb = env::parse_positive_int(v, std::int64_t{1} << 20, &why);
+      if (!mb) {
+        std::fprintf(stderr, "volcal_serve: bad --cache-mb '%s' (%s)\n", v, why.c_str());
+        return 2;
+      }
+      config.cache.byte_budget = env::mb_to_bytes(*mb);
     } else if (const char* v = value_of("--stats-interval")) {
       stats_interval_s = std::atof(v);
     } else if (const char* v = value_of("--stats-log")) {
