@@ -334,7 +334,7 @@ void churn_invalidation_ablation(JsonReport& report) {
 }  // namespace volcal::bench
 
 int main(int argc, char** argv) {
-  auto args = volcal::bench::Args::parse(&argc, argv, "bench_ablations");
+  auto args = volcal::bench::Args::parse_strict(argc, argv, "bench_ablations");
   volcal::bench::Observer::install(args, "bench_ablations");
   volcal::bench::JsonReport report("bench_ablations");
   volcal::bench::truncation_ablation(report);

@@ -278,7 +278,7 @@ void hh_rows(std::vector<Row>& rows, int k, int l) {
 
 int main(int argc, char** argv) {
   using namespace volcal::bench;
-  auto args = Args::parse(&argc, argv, "bench_table1");
+  auto args = Args::parse_strict(argc, argv, "bench_table1");
   Observer::install(args, "bench_table1");
   print_header(
       "Table 1 — complexities of the constructed LCLs "

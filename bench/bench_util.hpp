@@ -125,7 +125,8 @@ struct Args {
   static void reset() { mutable_current() = Args{}; }
 
   // Flags may be given as `--flag value` or `--flag=value`.  Unrecognized
-  // arguments stay in argv for the binary's own parsing.
+  // arguments stay in argv for the binary's own parsing (the google-benchmark
+  // mains hand them to benchmark::Initialize).
   static Args parse(int* argc, char** argv, const char* tool) {
     Args args;
     auto value_of = [&](int& i, const char* name, std::size_t len) -> const char* {
@@ -182,6 +183,18 @@ struct Args {
       setenv("VOLCAL_BACKEND", args.backend, /*overwrite=*/1);
     }
     install(args);
+    return args;
+  }
+
+  // parse() for mains that own their whole command line: any argument it
+  // leaves over (a typo, a removed flag, a flag missing its operand) is
+  // reported on stderr and exits 2 rather than being silently ignored.
+  static Args parse_strict(int argc, char** argv, const char* tool) {
+    Args args = parse(&argc, argv, tool);
+    if (argc > 1) {
+      std::fprintf(stderr, "%s: unknown argument '%s' (see --help)\n", tool, argv[1]);
+      std::exit(2);
+    }
     return args;
   }
 

@@ -149,15 +149,19 @@ class Graph {
 // Incremental construction.  Edges may be added with explicit ports or with
 // ports assigned in insertion order; the two styles can be mixed as long as
 // the final port assignment is a bijection onto 1..deg(v) at every node.
+//
+// Storage is one flat record per edge plus the largest port used so far at
+// each node; build() lays the CSR arrays out in two passes over the edge list
+// (count degrees, then drop each edge end into its port's slot).
 class Graph::Builder {
  public:
-  explicit Builder(NodeIndex node_count) : ports_(node_count) {}
+  explicit Builder(NodeIndex node_count) : max_port_(static_cast<std::size_t>(node_count), 0) {}
 
-  NodeIndex node_count() const { return static_cast<NodeIndex>(ports_.size()); }
+  NodeIndex node_count() const { return static_cast<NodeIndex>(max_port_.size()); }
 
   NodeIndex add_node() {
-    ports_.emplace_back();
-    return static_cast<NodeIndex>(ports_.size()) - 1;
+    max_port_.push_back(0);
+    return static_cast<NodeIndex>(max_port_.size()) - 1;
   }
 
   // Add edge {v, w}; ports are appended after the largest port used so far at
@@ -167,17 +171,21 @@ class Graph::Builder {
   // Add edge {v, w} with explicit port numbers pv (at v) and pw (at w).
   void add_edge_with_ports(NodeIndex v, NodeIndex w, Port pv, Port pw);
 
-  // Validates port bijectivity and freezes the structure.
+  // Validates port bijectivity, freezes the structure and releases the edge
+  // list.
   Graph build() &&;
 
  private:
-  struct PortedEdge {
-    Port port;
-    NodeIndex to;
+  struct Edge {
+    NodeIndex v;
+    NodeIndex w;
+    Port pv;  // port of the edge at v
+    Port pw;  // port of the edge at w
   };
-  void check_node(NodeIndex v) const;
+  void check_edge(NodeIndex v, NodeIndex w) const;
 
-  std::vector<std::vector<PortedEdge>> ports_;
+  std::vector<Edge> edges_;
+  std::vector<Port> max_port_;  // largest port used at each node, 0 if none
 };
 
 }  // namespace volcal

@@ -122,6 +122,25 @@ TEST(Args, LeavesForeignFlagsForTheBinary) {
   EXPECT_FALSE(args.observing());
 }
 
+TEST(Args, StrictParseRejectsLeftoverArguments) {
+  // Mains without benchmark::Initialize own their whole command line: an
+  // unknown flag, a removed flag or a dangling operand is an error, exit 2.
+  auto strict = [](std::vector<const char*> raw) {
+    raw.push_back(nullptr);
+    (void)Args::parse_strict(static_cast<int>(raw.size()) - 1, const_cast<char**>(raw.data()),
+                             "bench");
+    std::exit(0);
+  };
+  EXPECT_EXIT(strict({"bench", "--bogus"}), ::testing::ExitedWithCode(2),
+              "bench: unknown argument '--bogus'");
+  EXPECT_EXIT(strict({"bench", "--max-n", "300", "--cache", "shared"}),
+              ::testing::ExitedWithCode(2), "unknown argument '--cache'");
+  EXPECT_EXIT(strict({"bench", "--json"}), ::testing::ExitedWithCode(2),
+              "unknown argument '--json'");
+  EXPECT_EXIT(strict({"bench", "--max-n=300", "--filter", "hthc"}), ::testing::ExitedWithCode(0),
+              "");
+}
+
 TEST(Args, KeepNGatesOnlyWhenMaxNSet) {
   Args args;
   EXPECT_TRUE(args.keep_n(1));

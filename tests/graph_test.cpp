@@ -70,6 +70,30 @@ TEST(GraphBuilder, RejectsDuplicatePort) {
   EXPECT_THROW(std::move(b).build(), std::invalid_argument);
 }
 
+TEST(GraphBuilder, RejectsPortAboveDegree) {
+  Graph::Builder b(3);
+  b.add_edge_with_ports(0, 1, 1, 1);
+  b.add_edge_with_ports(0, 2, 3, 1);  // node 0 has degree 2 but uses port 3
+  EXPECT_THROW(std::move(b).build(), std::invalid_argument);
+}
+
+TEST(GraphBuilder, AutoPortsFollowExplicitPortsAtBothEndpoints) {
+  Graph::Builder b(4);
+  b.add_edge_with_ports(0, 1, 2, 1);
+  b.add_edge_with_ports(0, 2, 1, 2);
+  b.add_edge_with_ports(2, 3, 1, 2);
+  b.add_edge_with_ports(1, 3, 2, 1);
+  auto [pv, pw] = b.add_edge(0, 3);  // after the largest port at each end
+  EXPECT_EQ(pv, 3);
+  EXPECT_EQ(pw, 3);
+  Graph g = std::move(b).build();
+  EXPECT_EQ(g.neighbor(0, 3), 3);
+  EXPECT_EQ(g.neighbor(3, 3), 0);
+  EXPECT_EQ(g.neighbor(3, 1), 1);
+  EXPECT_EQ(g.neighbor(3, 2), 2);
+  EXPECT_EQ(g.max_degree(), 3);
+}
+
 TEST(GraphBuilder, RejectsOutOfRangeNode) {
   Graph::Builder b(2);
   EXPECT_THROW(b.add_edge(0, 5), std::out_of_range);
@@ -105,6 +129,24 @@ TEST(Graph, AddNodeGrows) {
   Graph g = std::move(b).build();
   EXPECT_EQ(g.node_count(), 2);
   EXPECT_TRUE(g.adjacent(0, 1));
+}
+
+TEST(Graph, AddNodeAfterEdges) {
+  Graph::Builder b(2);
+  b.add_edge(0, 1);
+  const NodeIndex v = b.add_node();
+  EXPECT_EQ(v, 2);
+  auto [pv, pw] = b.add_edge(1, v);
+  EXPECT_EQ(pv, 2);
+  EXPECT_EQ(pw, 1);
+  const NodeIndex lone = b.add_node();
+  EXPECT_EQ(lone, 3);
+  Graph g = std::move(b).build();
+  EXPECT_EQ(g.node_count(), 4);
+  EXPECT_EQ(g.neighbor(1, 1), 0);
+  EXPECT_EQ(g.neighbor(1, 2), 2);
+  EXPECT_EQ(g.neighbor(2, 1), 1);
+  EXPECT_EQ(g.degree(lone), 0);
 }
 
 Graph path_graph(NodeIndex n) {

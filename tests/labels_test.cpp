@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
 #include <unordered_set>
 
@@ -36,6 +38,33 @@ TEST(Ids, ShuffledUniqueAndDeterministic) {
 
 TEST(Ids, DuplicateRejected) {
   EXPECT_THROW(IdAssignment({1, 2, 1}), std::invalid_argument);
+}
+
+TEST(Ids, DuplicateRejectedInDenseAndSparseIdSpaces) {
+  // Small maxima are checked against a bitmap over [0, max], large ones
+  // against a sorted copy; both must reject a repeat and accept distinct IDs.
+  constexpr NodeId kBig = NodeId{1} << 40;
+  EXPECT_THROW(IdAssignment({1, 5, 1}), std::invalid_argument);
+  EXPECT_THROW(IdAssignment({1, kBig, kBig}), std::invalid_argument);
+  EXPECT_NO_THROW(IdAssignment({1, 5, 2}));
+  EXPECT_NO_THROW(IdAssignment({kBig, 1, kBig - 1}));
+}
+
+TEST(Ids, ShuffledWithAlphaTwoIsPinned) {
+  // An ID space of n^2 is sparse enough that sampling keeps its hash set;
+  // the draw sequence, and so every ID, must not depend on that choice.
+  const IdAssignment ids = IdAssignment::shuffled(1000, 3, 2.0);
+  ASSERT_EQ(ids.node_count(), 1000);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  NodeId max_id = 0;
+  for (const NodeId id : ids.span()) {
+    h = (h ^ id) * 0x100000001b3ull;
+    max_id = std::max(max_id, id);
+  }
+  EXPECT_EQ(ids.id_of(0), 662837u);
+  EXPECT_EQ(ids.id_of(999), 498759u);
+  EXPECT_EQ(max_id, 999151u);
+  EXPECT_EQ(h, 7799025135484180191ull);
 }
 
 TEST(Ids, AlphaGrowsIdSpace) {

@@ -3,7 +3,12 @@
 // a verify_all-clean joint output, identically on plain and traced
 // executions, deterministically in (n_target, seed).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <ostream>
 #include <set>
 #include <span>
@@ -333,6 +338,101 @@ TEST(Registry, HierarchicalFamiliesVerifyAfterMutation) {
           << family << " seed " << seed;
     }
   }
+}
+
+// FNV-1a 64 folded over `bytes`, continuing from `h`.
+std::uint64_t fnv1a(std::uint64_t h, const void* bytes, std::size_t len) {
+  const auto* p = static_cast<const unsigned char*>(bytes);
+  for (std::size_t i = 0; i < len; ++i) h = (h ^ p[i]) * 0x100000001b3ull;
+  return h;
+}
+
+struct InstanceHashes {
+  std::uint64_t csr = 0xcbf29ce484222325ull;
+  std::uint64_t ids = 0xcbf29ce484222325ull;
+  std::uint64_t snapshot = 0xcbf29ce484222325ull;
+};
+
+struct GeneratorPin {
+  const char* family;
+  int variant;
+  InstanceHashes hashes;
+};
+
+// Hashes of every registry entry x variant, folded over n_target in
+// {200, 1500} and seed in {1, 7}: the CSR arrays, the ID table, and the bytes
+// save_snapshot writes (which add the family's label tables).  Regenerate only
+// for a deliberate change to what a generator emits: the test prints the
+// computed row of any entry that does not match.
+constexpr GeneratorPin kGeneratorPins[] = {
+    {"leaf-coloring", 0, {0xde330321268925d5ull, 0xa05c75e26a8894a5ull, 0xc9c894b9e225106full}},
+    {"leaf-coloring", 1, {0x07ac2fd31ceaa83eull, 0x8159fbff2b51a301ull, 0xb1290737c1a8e68dull}},
+    {"leaf-coloring", 2, {0x0b28703f171a6fd9ull, 0x8f9598d87cf2d2f9ull, 0xadaf1896c9fbd42full}},
+    {"leaf-coloring", 3, {0xd6f9007f2204fb3dull, 0xd5cf8ea64083440dull, 0xafe3ea427a7db393ull}},
+    {"balanced-tree", 0, {0x84d67ba1b1a926b9ull, 0xa05c75e26a8894a5ull, 0x7915eee5d1a3f171ull}},
+    {"balanced-tree", 1, {0x84d67ba1b1a926b9ull, 0xa05c75e26a8894a5ull, 0x7b7b5fe7e9171f95ull}},
+    {"ball-4", 0, {0xde330321268925d5ull, 0xa05c75e26a8894a5ull, 0x72f396109d936d83ull}},
+    {"ball-4", 1, {0x07ac2fd31ceaa83eull, 0x8159fbff2b51a301ull, 0xb94c23b79cced2b9ull}},
+    {"ball-4", 2, {0x0b28703f171a6fd9ull, 0x8f9598d87cf2d2f9ull, 0x8c2fa94fc33574a3ull}},
+    {"ball-4", 3, {0xd6f9007f2204fb3dull, 0xd5cf8ea64083440dull, 0x5a3217d3058c35f7ull}},
+    {"hthc-2", 0, {0xea9b35bed416e1c5ull, 0xb3076bee7ebfa1a5ull, 0x792d04786792229dull}},
+    {"hthc-2", 1, {0x296f62d9d040068aull, 0x9cc24a6008c999aaull, 0x569f8bfd3df5af99ull}},
+    {"hthc-2", 2, {0xecc10367a37eddfdull, 0x48a6172f4b74b9b1ull, 0x86f01c1f62696cddull}},
+    {"hthc-3", 0, {0x0cbda073ed94d185ull, 0x6954646c59c16f95ull, 0xea1c33b1635e81d8ull}},
+    {"hthc-3", 1, {0x3fb2fa9d66bc8149ull, 0x54a44ada0881d8dbull, 0xb19f6830e82fc4a8ull}},
+    {"hthc-3", 2, {0xab2371f45f98d0fdull, 0xa2cf97ac6d11c4c5ull, 0x7f8b445d1174f231ull}},
+    {"hybrid-2", 0, {0xb64ef2d133f7c661ull, 0x26498db7427f91fdull, 0x9a64e9ff1480dffaull}},
+    {"hybrid-2", 1, {0xe52dc22ff6d38709ull, 0x44f1e5b2e5fd59f5ull, 0xfa3687363c4be612ull}},
+    {"hh-2-3", 0, {0x30ed6858bc34885dull, 0xf420620fad056b0dull, 0x4e9697b54bf49f2cull}},
+    {"hh-2-3", 1, {0x18ec9c75c075efb5ull, 0xe69b8fd9d80c8209ull, 0xf73458739fb60bf2ull}},
+};
+
+TEST(Registry, GeneratedInstancesArePinned) {
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("volcal-registry-pin-" + std::to_string(::getpid()) + ".vsnap");
+  std::size_t cases = 0;
+  for (const RegistryEntry& entry : ProblemRegistry::global().entries()) {
+    for (int variant = 0; variant < entry.variants; ++variant) {
+      InstanceHashes h;
+      for (const NodeIndex n_target : {200, 1500}) {
+        for (const std::uint64_t seed : {1u, 7u}) {
+          const ErasedInstance inst = entry.make_variant(n_target, seed, variant);
+          const GraphView g = inst.graph();
+          const auto n = static_cast<std::size_t>(g.node_count());
+          h.csr = fnv1a(h.csr, g.offsets_data(), (n + 1) * sizeof(std::size_t));
+          h.csr = fnv1a(h.csr, g.adjacency_data(),
+                        g.offsets_data()[n] * sizeof(NodeIndex));
+          const std::span<const NodeId> ids = inst.ids().span();
+          h.ids = fnv1a(h.ids, ids.data(), ids.size_bytes());
+          inst.save_snapshot(path.string());
+          std::ifstream is(path, std::ios::binary);
+          const std::string bytes{std::istreambuf_iterator<char>(is),
+                                  std::istreambuf_iterator<char>()};
+          h.snapshot = fnv1a(h.snapshot, bytes.data(), bytes.size());
+        }
+      }
+      ++cases;
+      const GeneratorPin* pin = nullptr;
+      for (const GeneratorPin& p : kGeneratorPins) {
+        if (entry.name == p.family && variant == p.variant) pin = &p;
+      }
+      char row[160];
+      std::snprintf(row, sizeof row, "{\"%s\", %d, {0x%016llxull, 0x%016llxull, 0x%016llxull}},",
+                    entry.name.c_str(), variant, static_cast<unsigned long long>(h.csr),
+                    static_cast<unsigned long long>(h.ids),
+                    static_cast<unsigned long long>(h.snapshot));
+      if (pin == nullptr) {
+        ADD_FAILURE() << "no pin for " << row;
+        continue;
+      }
+      EXPECT_EQ(pin->hashes.csr, h.csr) << row;
+      EXPECT_EQ(pin->hashes.ids, h.ids) << row;
+      EXPECT_EQ(pin->hashes.snapshot, h.snapshot) << row;
+    }
+  }
+  std::filesystem::remove(path);
+  EXPECT_EQ(cases, std::size(kGeneratorPins)) << "stale pins in kGeneratorPins";
 }
 
 }  // namespace
