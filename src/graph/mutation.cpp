@@ -1,6 +1,7 @@
 #include "graph/mutation.hpp"
 
 #include <algorithm>
+#include <map>
 #include <stdexcept>
 #include <string>
 
@@ -34,15 +35,20 @@ AppliedMutation apply_mutation(GraphView g, const MutationBatch& batch) {
     check_index(u.node, n, "label-update node");
   }
 
-  // Per-node neighbor lists, port order implicit in position (port p lives at
-  // index p-1) — erase *is* the port compaction, push_back *is* "next free
-  // port".  The Builder-based reference path below carries explicit port
-  // numbers instead, so the two implementations share no representation.
-  std::vector<std::vector<NodeIndex>> nbrs(static_cast<std::size_t>(n));
-  for (NodeIndex v = 0; v < n; ++v) {
-    const auto span = g.neighbors(v);
-    nbrs[static_cast<std::size_t>(v)].assign(span.begin(), span.end());
-  }
+  // Neighbor lists of the nodes the rewires edit, copied from the input on
+  // first touch; port order implicit in position (port p lives at index
+  // p-1) — erase *is* the port compaction, push_back *is* "next free port".
+  // The Builder-based reference path below carries explicit port numbers
+  // instead, so the two implementations share no representation.
+  std::map<NodeIndex, std::vector<NodeIndex>> edited;
+  const auto list_of = [&](NodeIndex v) -> std::vector<NodeIndex>& {
+    const auto [it, fresh] = edited.try_emplace(v);
+    if (fresh) {
+      const auto span = g.neighbors(v);
+      it->second.assign(span.begin(), span.end());
+    }
+    return it->second;
+  };
 
   std::vector<NodeIndex> touched;
   touched.reserve(batch.rewires.size() * 3);
@@ -50,12 +56,12 @@ AppliedMutation apply_mutation(GraphView g, const MutationBatch& batch) {
     check_index(r.leaf, n, "rewire leaf");
     check_index(r.new_parent, n, "rewire new_parent");
     if (r.leaf == r.new_parent) throw_self_rewire(r.leaf);
-    auto& ln = nbrs[static_cast<std::size_t>(r.leaf)];
+    auto& ln = list_of(r.leaf);
     if (ln.size() != 1) throw_not_a_leaf(r.leaf, ln.size());
     const NodeIndex old_parent = ln.front();
-    auto& pn = nbrs[static_cast<std::size_t>(old_parent)];
+    auto& pn = list_of(old_parent);
     pn.erase(std::find(pn.begin(), pn.end(), r.leaf));
-    nbrs[static_cast<std::size_t>(r.new_parent)].push_back(r.leaf);
+    list_of(r.new_parent).push_back(r.leaf);
     ln.front() = r.new_parent;
     touched.push_back(r.leaf);
     touched.push_back(old_parent);
@@ -64,23 +70,35 @@ AppliedMutation apply_mutation(GraphView g, const MutationBatch& batch) {
   std::sort(touched.begin(), touched.end());
   touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
 
-  std::vector<std::size_t> offsets;
-  offsets.reserve(static_cast<std::size_t>(n) + 1);
-  offsets.push_back(0);
-  std::size_t total = 0;
-  int max_degree = 0;
-  for (NodeIndex v = 0; v < n; ++v) {
-    const auto deg = nbrs[static_cast<std::size_t>(v)].size();
-    total += deg;
-    offsets.push_back(total);
-    max_degree = std::max(max_degree, static_cast<int>(deg));
-  }
+  // One pass over the nodes in index order: each run of unedited nodes is
+  // copied as one adjacency span with its offsets shifted, each edited node's
+  // list is spliced in between.
+  const std::size_t* old_offsets = g.offsets_data();
+  const NodeIndex* old_adjacency = g.adjacency_data();
+  std::vector<std::size_t> offsets(static_cast<std::size_t>(n) + 1, 0);
   std::vector<NodeIndex> adjacency;
-  adjacency.reserve(total);
-  for (NodeIndex v = 0; v < n; ++v) {
-    const auto& vn = nbrs[static_cast<std::size_t>(v)];
-    adjacency.insert(adjacency.end(), vn.begin(), vn.end());
+  adjacency.reserve(n == 0 ? 0 : old_offsets[n]);  // a rewire moves an edge
+  int max_degree = 0;
+  const auto copy_run = [&](NodeIndex from, NodeIndex to) {
+    if (from == to) return;
+    const std::size_t base = adjacency.size() - old_offsets[from];
+    adjacency.insert(adjacency.end(), old_adjacency + old_offsets[from],
+                     old_adjacency + old_offsets[to]);
+    for (NodeIndex v = from; v < to; ++v) {
+      offsets[static_cast<std::size_t>(v) + 1] = base + old_offsets[v + 1];
+      max_degree =
+          std::max(max_degree, static_cast<int>(old_offsets[v + 1] - old_offsets[v]));
+    }
+  };
+  NodeIndex next = 0;
+  for (const auto& [v, list] : edited) {
+    copy_run(next, v);
+    adjacency.insert(adjacency.end(), list.begin(), list.end());
+    offsets[static_cast<std::size_t>(v) + 1] = adjacency.size();
+    max_degree = std::max(max_degree, static_cast<int>(list.size()));
+    next = v + 1;
   }
+  copy_run(next, n);
 
   AppliedMutation out;
   out.graph = Graph::from_csr(std::move(offsets), std::move(adjacency), max_degree);

@@ -25,7 +25,8 @@
 // (runtime/view_cache.hpp).
 //
 // Two independent implementations back the differential harness:
-// apply_mutation edits per-node port vectors directly; apply_mutation_naive
+// apply_mutation copies only the edited nodes' port lists and splices them
+// between the input's untouched CSR spans; apply_mutation_naive
 // replays the same semantics through Graph::Builder (whose build() validates
 // port bijectivity from scratch).  check_mutation_case requires the two CSRs
 // to be byte-identical on every fuzz case.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 
 namespace volcal::obs {
@@ -16,49 +15,6 @@ unsigned thread_shard_slot() {
 }
 
 }  // namespace detail
-
-void LogHistogram::add(std::int64_t v) {
-  ++buckets[static_cast<std::size_t>(bucket_of(v))];
-  if (count == 0) {
-    min = max = v;
-  } else {
-    min = std::min(min, v);
-    max = std::max(max, v);
-  }
-  ++count;
-  sum += v;
-}
-
-void LogHistogram::merge(const LogHistogram& other) {
-  if (other.count == 0) return;
-  for (std::size_t b = 0; b < buckets.size(); ++b) buckets[b] += other.buckets[b];
-  if (count == 0) {
-    min = other.min;
-    max = other.max;
-  } else {
-    min = std::min(min, other.min);
-    max = std::max(max, other.max);
-  }
-  count += other.count;
-  sum += other.sum;
-}
-
-std::int64_t LogHistogram::approx_quantile(double q) const {
-  if (count <= 0) return 0;
-  const double clamped = std::clamp(q, 0.0, 1.0);
-  // Nearest-rank: the smallest rank covering fraction q of the samples.
-  const auto rank = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(std::ceil(clamped * static_cast<double>(count))));
-  std::int64_t cum = 0;
-  for (std::size_t b = 0; b < buckets.size(); ++b) {
-    cum += buckets[b];
-    if (cum >= rank) {
-      // Upper bound of bucket b: 0 for b == 0, else 2^b - 1.
-      return b == 0 ? 0 : static_cast<std::int64_t>((std::uint64_t{1} << b) - 1);
-    }
-  }
-  return max;
-}
 
 LogHistogram Histogram::snapshot() const {
   LogHistogram out;

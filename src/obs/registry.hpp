@@ -29,9 +29,11 @@
 // MetricsRegistry instead.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -104,33 +106,105 @@ class Gauge {
   std::atomic<std::int64_t> v_{0};
 };
 
-// Power-of-two bucket histogram, the one histogram value type: SweepMetrics
-// (obs/metrics.hpp) accumulates these directly, and Histogram::snapshot()
-// returns one.  Bucket b counts values v with bit_width(v) == b, i.e. bucket
-// 0 holds v <= 0, bucket 1 holds v=1, bucket 2 holds 2-3, bucket 3 holds
-// 4-7, ...  Fixed 64 buckets — covers the full int64 range, trivially
-// mergeable.
-struct LogHistogram {
-  std::array<std::int64_t, 64> buckets{};
+// Log-linear bucket histogram, the one histogram value type: SweepMetrics
+// (obs/metrics.hpp) accumulates LogHistogram directly, Histogram::snapshot()
+// returns one, and QueryService keeps a sub-bucketed instance for its
+// since-start latencies.  Fixed bucket array — covers the full int64 range,
+// trivially mergeable, constant memory however many values it has seen.
+//
+// SubBits = s splits each power-of-two range [2^k, 2^(k+1)) with k >= s into
+// 2^s equal sub-buckets; values below 2^s get one bucket each (v <= 0 shares
+// bucket 0).  A bucket's width is at most 1/2^s of its lower bound, so its
+// upper bound overestimates any value in it by less than a factor 1 + 2^-s.
+// (64 - s) * 2^s buckets: 64 for s = 0, 3712 (29 KiB) for s = 6.
+//
+// s = 0 is the power-of-two layout: bucket b counts values v with
+// bit_width(v) == b, i.e. bucket 0 holds v <= 0, bucket 1 holds v=1, bucket 2
+// holds 2-3, bucket 3 holds 4-7, ...
+template <int SubBits>
+struct BasicLogHistogram {
+  static_assert(SubBits >= 0 && SubBits <= 8, "sub-bucket count out of range");
+  static constexpr std::int64_t kSub = std::int64_t{1} << SubBits;
+  static constexpr std::size_t kBuckets = std::size_t{64 - SubBits} << SubBits;
+
+  std::array<std::int64_t, kBuckets> buckets{};
   std::int64_t count = 0;
   std::int64_t min = 0;
   std::int64_t max = 0;
   std::int64_t sum = 0;
 
   static int bucket_of(std::int64_t v) {
-    return v <= 0 ? 0 : std::bit_width(static_cast<std::uint64_t>(v));
+    if (v < kSub) return v <= 0 ? 0 : static_cast<int>(v);
+    const auto u = static_cast<std::uint64_t>(v);
+    const int shift = std::bit_width(u) - 1 - SubBits;
+    return ((shift + 1) << SubBits) + static_cast<int>((u >> shift) - kSub);
   }
 
-  void add(std::int64_t v);
-  void merge(const LogHistogram& other);
+  // Largest value bucket b holds.
+  static std::int64_t bucket_upper(int b) {
+    if (b < kSub) return b;
+    const int shift = (b >> SubBits) - 1;
+    const std::uint64_t lower = static_cast<std::uint64_t>(kSub + (b & (kSub - 1)))
+                                << shift;
+    return static_cast<std::int64_t>(lower + ((std::uint64_t{1} << shift) - 1));
+  }
 
-  // Nearest-rank quantile resolved to the upper bound of the holding bucket
-  // (exact for bucket 0/1, a <= 2x overestimate above) — good enough for a
-  // dashboard; exact percentiles come from sample vectors where they matter.
-  std::int64_t approx_quantile(double q) const;
+  void add(std::int64_t v) {
+    ++buckets[static_cast<std::size_t>(bucket_of(v))];
+    if (count == 0) {
+      min = max = v;
+    } else {
+      min = std::min(min, v);
+      max = std::max(max, v);
+    }
+    ++count;
+    sum = wrapping_add(sum, v);
+  }
 
-  friend bool operator==(const LogHistogram&, const LogHistogram&) = default;
+  void merge(const BasicLogHistogram& other) {
+    if (other.count == 0) return;
+    for (std::size_t b = 0; b < kBuckets; ++b) buckets[b] += other.buckets[b];
+    if (count == 0) {
+      min = other.min;
+      max = other.max;
+    } else {
+      min = std::min(min, other.min);
+      max = std::max(max, other.max);
+    }
+    count += other.count;
+    sum = wrapping_add(sum, other.sum);
+  }
+
+  // Nearest-rank quantile resolved to the upper bound of the holding bucket:
+  // exact below 2^s, else an overestimate by less than a factor 1 + 2^-s
+  // (up to 2x at s = 0).  Not clamped to max — callers that report it as a
+  // latency clamp to [min, max] themselves.
+  std::int64_t approx_quantile(double q) const {
+    if (count <= 0) return 0;
+    const double clamped = std::clamp(q, 0.0, 1.0);
+    // Nearest-rank: the smallest rank covering fraction q of the samples.
+    const auto rank = std::max<std::int64_t>(
+        1, static_cast<std::int64_t>(std::ceil(clamped * static_cast<double>(count))));
+    std::int64_t cum = 0;
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+      cum += buckets[b];
+      if (cum >= rank) return bucket_upper(static_cast<int>(b));
+    }
+    return max;
+  }
+
+  friend bool operator==(const BasicLogHistogram&, const BasicLogHistogram&) = default;
+
+ private:
+  // The sum wraps on overflow, as the sharded Histogram's atomic fetch_add
+  // does, instead of being undefined.
+  static std::int64_t wrapping_add(std::int64_t a, std::int64_t b) {
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                     static_cast<std::uint64_t>(b));
+  }
 };
+
+using LogHistogram = BasicLogHistogram<0>;
 
 class Histogram {
  public:
@@ -153,7 +227,7 @@ class Histogram {
 
  private:
   struct alignas(64) Slot {
-    std::array<std::atomic<std::int64_t>, 64> buckets{};
+    std::array<std::atomic<std::int64_t>, LogHistogram::kBuckets> buckets{};
     std::atomic<std::int64_t> count{0};
     std::atomic<std::int64_t> sum{0};
     std::atomic<std::int64_t> min{INT64_MAX};

@@ -17,6 +17,24 @@ namespace {
 // traffic at any rate the percentiles are meaningful for.
 constexpr std::size_t kWindowRingCapacity = std::size_t{1} << 16;
 
+// The since-start summary: exact count/min/max/mean, percentiles read as
+// bucket upper bounds and clamped into the observed range.
+stats::Summary histogram_summary(const LatencyHistogram& h) {
+  stats::Summary s;
+  if (h.count == 0) return s;
+  s.count = static_cast<std::size_t>(h.count);
+  s.min = static_cast<double>(h.min);
+  s.max = static_cast<double>(h.max);
+  s.mean = static_cast<double>(h.sum) / static_cast<double>(h.count);
+  const auto percentile = [&h](double q) {
+    return static_cast<double>(std::clamp(h.approx_quantile(q), h.min, h.max));
+  };
+  s.median = percentile(0.50);
+  s.p95 = percentile(0.95);
+  s.p99 = percentile(0.99);
+  return s;
+}
+
 }  // namespace
 
 ServeTarget make_serve_target(std::shared_ptr<const ErasedInstance> instance) {
@@ -203,18 +221,9 @@ ServeCounters QueryService::counters() const {
   return out;
 }
 
-std::vector<std::int64_t> QueryService::latencies_ns() const {
-  std::lock_guard lock(stats_mu_);
-  return latencies_;
-}
-
 stats::Summary QueryService::latency_summary() const {
-  std::vector<double> values;
-  {
-    std::lock_guard lock(stats_mu_);
-    values.assign(latencies_.begin(), latencies_.end());
-  }
-  return stats::summarize(std::move(values));
+  std::lock_guard lock(stats_mu_);
+  return histogram_summary(latency_hist_);
 }
 
 stats::Summary QueryService::window_latency_summary() const {
@@ -258,9 +267,10 @@ namespace {
 void append_summary(std::string& out, const char* key, const stats::Summary& s) {
   char buf[256];
   std::snprintf(buf, sizeof buf,
-                "\"%s\": {\"count\": %zu, \"p50_ns\": %.0f, \"p95_ns\": %.0f"
-                ", \"p99_ns\": %.0f, \"mean_ns\": %.1f, \"max_ns\": %.0f}",
-                key, s.count, s.median, s.p95, s.p99, s.mean, s.max);
+                "\"%s\": {\"count\": %zu, \"min_ns\": %.0f, \"p50_ns\": %.0f"
+                ", \"p95_ns\": %.0f, \"p99_ns\": %.0f, \"mean_ns\": %.1f"
+                ", \"max_ns\": %.0f}",
+                key, s.count, s.min, s.median, s.p95, s.p99, s.mean, s.max);
   out += buf;
 }
 
@@ -275,19 +285,19 @@ std::string QueryService::stats_json() const {
   // between the reads could give the window more samples than "since start"
   // claims to have — an impossible state for consumers that cross-check the
   // two (check_artifacts.py does).
-  std::vector<double> lat_values, win_values;
+  stats::Summary lat;
+  std::vector<double> win_values;
   {
     const std::int64_t now_ns = since_start_ns(std::chrono::steady_clock::now());
     const std::int64_t cutoff =
         now_ns - static_cast<std::int64_t>(config_.stats_window_seconds * 1e9);
     std::lock_guard lock(stats_mu_);
-    lat_values.assign(latencies_.begin(), latencies_.end());
+    lat = histogram_summary(latency_hist_);
     win_values.reserve(window_ring_.size());
     for (const LatencySample& s : window_ring_) {
       if (s.done_ns >= cutoff) win_values.push_back(static_cast<double>(s.latency_ns));
     }
   }
-  const stats::Summary lat = stats::summarize(std::move(lat_values));
   const stats::Summary win = stats::summarize(std::move(win_values));
   const CacheStats cache = cache_.stats();
   const std::int64_t waves = c_waves_->value();
@@ -526,7 +536,7 @@ void QueryService::worker_loop(int worker) {
     {
       std::lock_guard slock(stats_mu_);
       for (const LatencySample& s : local_samples) {
-        latencies_.push_back(s.latency_ns);
+        latency_hist_.add(s.latency_ns);
         if (window_ring_.size() < kWindowRingCapacity) {
           window_ring_.push_back(s);
         } else {

@@ -37,20 +37,27 @@
 // Threading: `threads` workers pop up to `batch_max` requests at a time;
 // completion callbacks run on worker threads and must be fast and
 // thread-safe (the socket layer serializes per-connection writes).  Latency
-// is measured enqueue -> callback-dispatch per request and summarized with
-// stats::summarize (nearest-rank p50/p95/p99, same definition everywhere in
-// this repo).
+// is measured enqueue -> callback-dispatch per request.  The windowed
+// summary is stats::summarize over exact samples (nearest-rank p95/p99, same
+// definition everywhere in this repo); the since-start summary reads a
+// fixed-size histogram (see latency_summary()).
+//
+// Latency bookkeeping takes constant memory however many requests the
+// service has answered: the since-start histogram (LatencyHistogram, 3712
+// buckets, 29 KiB) plus the window ring of at most 2^16 samples of 16 B
+// (1 MiB).
 //
 // Observability: every counter lives in the service's obs::MetricsRegistry
 // (per-thread sharded atomics — the query path bumps them without taking a
 // lock), readable at any moment via metrics() or as one JSON snapshot via
-// stats_json(): uptime, queue depth, in-flight, admission counters, exact
-// since-start latency percentiles, windowed percentiles over the last
-// stats_window_seconds, cache counters, wave/batch occupancy, and the
-// per-family volume histograms ("serve.volume.<family>").  The transport
-// answers the protocol's Stats frame with exactly this snapshot.  Optional
-// per-request spans (ServeConfig::tracer) and a bounded slow-query log
-// (slow_threshold_ns) attribute tail latency to specific requests.
+// stats_json(): uptime, queue depth, in-flight, admission counters,
+// since-start latency percentiles (histogram, within 1/64 relative error),
+// exact windowed percentiles over the last stats_window_seconds, cache
+// counters, wave/batch occupancy, and the per-family volume histograms
+// ("serve.volume.<family>").  The transport answers the protocol's Stats
+// frame with exactly this snapshot.  Optional per-request spans
+// (ServeConfig::tracer) and a bounded slow-query log (slow_threshold_ns)
+// attribute tail latency to specific requests.
 #pragma once
 
 #include <chrono>
@@ -123,6 +130,10 @@ struct MutationOutcome {
   bool flushed = false;  // invalidation fell back to the full flush
   std::int64_t apply_ns = 0;
 };
+
+// Since-start latency histogram: 2^6 sub-buckets per power of two, so a
+// reported percentile is at most 1/64 above the exact one.
+using LatencyHistogram = obs::BasicLogHistogram<6>;
 
 // One answered query; `status == InvalidNode` leaves label/meters zero.
 struct QueryResult {
@@ -199,9 +210,10 @@ class QueryService {
   ServeCounters counters() const;
   CacheStats cache_stats() const { return cache_.stats(); }
 
-  // Enqueue->completion latencies of every completed request, and their
-  // nearest-rank summary.  Snapshot under lock; callable at any time.
-  std::vector<std::int64_t> latencies_ns() const;
+  // Summary of the enqueue->completion latencies of every completed request,
+  // read from the since-start histogram under lock; callable at any time.
+  // count, min, max and mean are exact; p50/p95/p99 are nearest-rank bucket
+  // upper bounds clamped to [min, max], at most 1/64 above the exact value.
   stats::Summary latency_summary() const;
   // Nearest-rank summary over completions of the last
   // config().stats_window_seconds (bounded ring — under sustained load the
@@ -246,7 +258,7 @@ class QueryService {
   };
 
   // One completed latency sample with its completion time (steady ns since
-  // start_), feeding both the exact since-start vector and the window ring.
+  // start_), feeding both the since-start histogram and the window ring.
   struct LatencySample {
     std::int64_t done_ns = 0;
     std::int64_t latency_ns = 0;
@@ -306,10 +318,10 @@ class QueryService {
   std::atomic<std::uint64_t> seq_{0};   // admission sequence
   std::atomic<std::uint64_t> wave_{0};  // wave (popped batch) sequence
 
-  // Exact latency samples (since-start percentiles) plus a bounded ring of
-  // recent completions for the sliding window.
+  // Since-start latency histogram plus a bounded ring of recent completions
+  // for the sliding window.
   mutable std::mutex stats_mu_;
-  std::vector<std::int64_t> latencies_;
+  LatencyHistogram latency_hist_;
   std::vector<LatencySample> window_ring_;
   std::size_t window_next_ = 0;
 

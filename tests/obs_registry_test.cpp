@@ -11,7 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -133,6 +136,108 @@ TEST(Histogram, ApproxQuantileResolvesToUpperBucketBounds) {
   EXPECT_EQ(s.approx_quantile(0.99), 127);
   // Quantiles of an empty histogram are 0, not UB.
   EXPECT_EQ(LogHistogram{}.approx_quantile(0.99), 0);
+}
+
+// Non-negative values across the whole int64 range: 0, 1, every power of
+// two and its neighbours, values next to INT64_MAX, and a seeded spread of
+// magnitudes.
+std::vector<std::int64_t> wide_values() {
+  std::vector<std::int64_t> values = {0, 1, INT64_MAX, INT64_MAX - 1, INT64_MAX - 4096};
+  for (int k = 1; k < 63; ++k) {
+    const std::int64_t p = std::int64_t{1} << k;
+    values.insert(values.end(), {p - 1, p, p + 1});
+  }
+  std::mt19937_64 rng(20261020);
+  for (int i = 0; i < 20000; ++i) {
+    const auto shift = static_cast<int>(1 + rng() % 63);
+    values.push_back(static_cast<std::int64_t>(rng() >> shift));
+  }
+  return values;
+}
+
+// The exact nearest-rank quantile of `sorted`, as approx_quantile ranks it.
+std::int64_t nearest_rank(const std::vector<std::int64_t>& sorted, double q) {
+  const auto rank = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::ceil(q * static_cast<double>(sorted.size()))));
+  return sorted[rank - 1];
+}
+
+TEST(Histogram, SubBucketBoundsHoldEveryValueWithinOneSixtyFourth) {
+  using H = BasicLogHistogram<6>;
+  EXPECT_EQ(H::kBuckets, 3712u);
+  EXPECT_EQ(H::bucket_of(INT64_MAX), static_cast<int>(H::kBuckets) - 1);
+  EXPECT_EQ(H::bucket_upper(static_cast<int>(H::kBuckets) - 1), INT64_MAX);
+  for (std::int64_t v = 0; v < 64; ++v) EXPECT_EQ(H::bucket_upper(H::bucket_of(v)), v);
+  for (const std::int64_t v : wide_values()) {
+    const int b = H::bucket_of(v);
+    const std::int64_t upper = H::bucket_upper(b);
+    EXPECT_LE(v, upper) << v;
+    EXPECT_LE(upper - v, v / 64) << v;
+    if (v > 0) {
+      EXPECT_LT(H::bucket_upper(b - 1), v) << v;
+    }
+  }
+}
+
+TEST(Histogram, SubBucketedQuantilesStayWithinTheStatedBound) {
+  std::vector<std::int64_t> values = wide_values();
+  BasicLogHistogram<6> h;
+  for (const std::int64_t v : values) h.add(v);
+  std::sort(values.begin(), values.end());
+  EXPECT_EQ(h.count, static_cast<std::int64_t>(values.size()));
+  EXPECT_EQ(h.min, values.front());
+  EXPECT_EQ(h.max, values.back());
+  for (int pct = 1; pct <= 100; ++pct) {
+    const double q = pct / 100.0;
+    const std::int64_t exact = nearest_rank(values, q);
+    const std::int64_t approx = std::clamp(h.approx_quantile(q), h.min, h.max);
+    EXPECT_GE(approx, exact) << "q " << q;
+    EXPECT_LE(approx - exact, exact / 64) << "q " << q;
+  }
+}
+
+// The 0-sub-bit layout is the power-of-two one: bucket = bit_width, and a
+// quantile is the upper bound 2^b - 1 of the exact nearest-rank value's
+// bucket (unclamped).
+TEST(Histogram, ZeroSubBitLayoutIsPowerOfTwo) {
+  std::vector<std::int64_t> values = wide_values();
+  const std::vector<std::int64_t> mixed = sample_values();  // includes v < 0
+  values.insert(values.end(), mixed.begin(), mixed.end());
+  LogHistogram h;
+  for (const std::int64_t v : values) {
+    EXPECT_EQ(LogHistogram::bucket_of(v),
+              v <= 0 ? 0 : std::bit_width(static_cast<std::uint64_t>(v)));
+    h.add(v);
+  }
+  std::sort(values.begin(), values.end());
+  for (const double q : {0.0, 0.25, 0.5, 0.95, 0.99, 1.0}) {
+    const std::int64_t exact = nearest_rank(values, q);
+    const int b = LogHistogram::bucket_of(exact);
+    const std::int64_t expected =
+        b == 0 ? 0 : static_cast<std::int64_t>((std::uint64_t{1} << b) - 1);
+    EXPECT_EQ(h.approx_quantile(q), expected) << "q " << q;
+  }
+}
+
+template <typename H>
+void expect_merge_equals_adding_every_sample(const std::vector<std::int64_t>& values) {
+  H whole;
+  for (const std::int64_t v : values) whole.add(v);
+  H parts[3];
+  for (std::size_t i = 0; i < values.size(); ++i) parts[i % 3].add(values[i]);
+  H merged;
+  merged.merge(H{});
+  for (const H& part : parts) merged.merge(part);
+  merged.merge(H{});
+  EXPECT_EQ(merged, whole);
+}
+
+TEST(Histogram, MergeEqualsAddingEverySample) {
+  std::vector<std::int64_t> values = wide_values();
+  const std::vector<std::int64_t> mixed = sample_values();
+  values.insert(values.end(), mixed.begin(), mixed.end());
+  expect_merge_equals_adding_every_sample<LogHistogram>(values);
+  expect_merge_equals_adding_every_sample<BasicLogHistogram<6>>(values);
 }
 
 TEST(MetricsRegistry, RegistrationIsIdempotentByName) {

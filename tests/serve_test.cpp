@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdint>
 #include <filesystem>
@@ -711,6 +712,63 @@ TEST(QueryService, StatsJsonReconcilesWithTypedCountersAfterDrain) {
   const stats::Summary window = service.window_latency_summary();
   EXPECT_EQ(window.count, static_cast<std::size_t>(n));
   EXPECT_LE(window.median, window.p95);
+}
+
+// Below the window ring's 2^16 capacity, and inside a window longer than the
+// run, the since-start histogram and the exact window ring hold the same
+// samples: count, min, max and mean agree exactly, and each histogram
+// percentile lies at or at most 1/64 above the exact one.  An odd request
+// count makes the exact median (midpoint of the two central values for even
+// counts) a nearest-rank value, like the histogram's.
+TEST(QueryService, SinceStartHistogramAgreesWithTheExactWindow) {
+  ServeTarget target = target_for("ball-4", 400, 7);
+  const auto n = static_cast<std::int64_t>(target.instance->node_count());
+  ServeConfig config;
+  config.threads = 2;
+  config.queue_capacity = static_cast<std::size_t>(4 * n);
+  config.stats_window_seconds = 3600.0;
+  QueryService service(std::move(target), config);
+
+  const std::int64_t requests = 3 * n + (n % 2 == 0 ? 1 : 0);
+  ASSERT_EQ(requests % 2, 1);
+  ResultCollector collector;
+  for (std::int64_t i = 0; i < requests; ++i) {
+    ASSERT_EQ(service.submit(static_cast<std::uint64_t>(i), i % n, collector.sink()),
+              Admission::Accepted);
+  }
+  service.drain_and_stop();
+
+  const stats::Summary since = service.latency_summary();
+  const stats::Summary window = service.window_latency_summary();
+  ASSERT_EQ(since.count, static_cast<std::size_t>(requests));
+  ASSERT_EQ(window.count, since.count);
+  EXPECT_EQ(since.min, window.min);
+  EXPECT_EQ(since.max, window.max);
+  EXPECT_NEAR(since.mean, window.mean, 1e-9 * window.mean);
+  const std::pair<double, double> percentiles[] = {
+      {since.median, window.median}, {since.p95, window.p95}, {since.p99, window.p99}};
+  for (const auto& [approx, exact] : percentiles) {
+    EXPECT_GE(approx, exact);
+    EXPECT_LE(approx, exact + std::floor(exact / 64));
+  }
+  EXPECT_LE(since.min, since.median);
+  EXPECT_LE(since.p99, since.max);
+
+  // stats_json() renders the same two summaries.
+  std::string err;
+  const perf::JsonValue doc = perf::parse_json(service.stats_json(), &err);
+  ASSERT_FALSE(doc.is_null()) << err;
+  const perf::JsonValue* lat = doc.find("latency");
+  ASSERT_NE(lat, nullptr);
+  EXPECT_EQ(lat->number_at("min_ns"), since.min);
+  EXPECT_EQ(lat->number_at("p99_ns"), since.p99);
+  EXPECT_EQ(lat->number_at("max_ns"), since.max);
+  const perf::JsonValue* win = doc.find("window");
+  ASSERT_NE(win, nullptr);
+  const perf::JsonValue* win_lat = win->find("latency");
+  ASSERT_NE(win_lat, nullptr);
+  EXPECT_EQ(win_lat->int_at("count"), requests);
+  EXPECT_EQ(win_lat->number_at("min_ns"), window.min);
 }
 
 // Slow-query log threshold edges: 0 records everything (bounded by

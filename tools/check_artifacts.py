@@ -445,7 +445,16 @@ def check_stats_line(doc, where):
         check(p50 <= p95 <= p99,
               f"{lwhere}: percentiles not monotone "
               f"(p50 {p50}, p95 {p95}, p99 {p99})")
-        check(lat.get("count", -1) >= 0, f"{lwhere}: negative sample count")
+        count = lat.get("count", -1)
+        check(count >= 0, f"{lwhere}: negative sample count")
+        # Percentiles lie inside the observed range (the since-start block
+        # reads histogram bucket bounds, which are clamped to [min, max]).
+        if count > 0:
+            check("min_ns" in lat and lat["min_ns"] <= p50,
+                  f"{lwhere}: min_ns {lat.get('min_ns')} missing or above "
+                  f"p50 {p50}")
+        check(p99 <= lat.get("max_ns", 0),
+              f"{lwhere}: p99 {p99} above max_ns {lat.get('max_ns')}")
     # The window is a subset of history: it can never hold more samples than
     # ever completed.
     win = doc.get("window", {}).get("latency", {})
