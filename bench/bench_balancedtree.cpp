@@ -130,13 +130,16 @@ BENCHMARK(BM_BalancedSolveRoot)->Arg(8)->Arg(12);
 
 int main(int argc, char** argv) {
   auto args = volcal::bench::Args::parse(&argc, argv, "bench_balancedtree");
+  // google-benchmark takes its own flags; anything left over is a typo or a
+  // removed flag, rejected before any table runs.
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
   volcal::bench::Observer::install(args, "bench_balancedtree");
   volcal::bench::JsonReport report("bench_balancedtree");
   volcal::bench::embedding_table(report);
   volcal::bench::fooling_table(report);
   volcal::bench::cost_table(report);
   report.write_file(args.json);
-  benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -238,6 +238,10 @@ BENCHMARK(BM_RecursiveHTHC)->Arg(2)->Arg(3);
 
 int main(int argc, char** argv) {
   auto args = volcal::bench::Args::parse(&argc, argv, "bench_hierarchical");
+  // google-benchmark takes its own flags; anything left over is a typo or a
+  // removed flag, rejected before any table runs.
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
   volcal::bench::Observer::install(args, "bench_hierarchical");
   volcal::bench::JsonReport report("bench_hierarchical");
   volcal::bench::distance_table(report);
@@ -245,7 +249,6 @@ int main(int argc, char** argv) {
   volcal::bench::deep_nest_table(report);
   volcal::bench::adversary_table(report);
   report.write_file(args.json);
-  benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

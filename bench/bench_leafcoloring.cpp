@@ -159,13 +159,16 @@ BENCHMARK(BM_NearestLeafFromRoot)->Arg(10)->Arg(14);
 
 int main(int argc, char** argv) {
   auto args = volcal::bench::Args::parse(&argc, argv, "bench_leafcoloring");
+  // google-benchmark takes its own flags; anything left over is a typo or a
+  // removed flag, rejected before any table runs.
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
   volcal::bench::Observer::install(args, "bench_leafcoloring");
   volcal::bench::JsonReport report("bench_leafcoloring");
   volcal::bench::walk_length_table(report);
   volcal::bench::truncation_table(report);
   volcal::bench::adversary_table(report);
   report.write_file(args.json);
-  benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

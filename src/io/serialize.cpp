@@ -23,8 +23,13 @@ void write_edges(std::ostream& os, const Graph& g) {
   }
 }
 
+// Claims are PortLabel bytes; `operator<<` on a uint8_t would print a char,
+// so they are widened to int on the way out.
+int claim(PortLabel c) { return c; }
+
 void write_tree_fields(std::ostream& os, const TreeLabeling& t, NodeIndex v) {
-  os << " p " << t.parent[v] << " lc " << t.left[v] << " rc " << t.right[v];
+  os << " p " << claim(t.parent[v]) << " lc " << claim(t.left[v]) << " rc "
+     << claim(t.right[v]);
 }
 
 struct Parser {
@@ -79,6 +84,16 @@ struct Parser {
     if (tag != key) throw std::runtime_error("io: expected field " + key + ", got " + tag);
     return value;
   }
+
+  // Reads a port claim or level field, narrowed to one byte with a range check.
+  PortLabel claim_field(const std::string& key) {
+    const auto value = field<long long>(key);
+    if (!fits_port_label(value)) {
+      throw std::runtime_error("io: field " + key + " = " + std::to_string(value) +
+                               " outside [0, " + std::to_string(kMaxPortLabel) + "]");
+    }
+    return static_cast<PortLabel>(value);
+  }
 };
 
 char color_code(Color c) { return c == Color::Red ? 'R' : 'B'; }
@@ -111,7 +126,8 @@ void write_instance(std::ostream& os, const BalancedTreeInstance& inst) {
   for (NodeIndex v = 0; v < inst.node_count(); ++v) {
     os << "node " << v << " id " << inst.ids.id_of(v);
     write_tree_fields(os, inst.labels.tree, v);
-    os << " ln " << inst.labels.left_nbr[v] << " rn " << inst.labels.right_nbr[v] << '\n';
+    os << " ln " << claim(inst.labels.left_nbr[v]) << " rn "
+       << claim(inst.labels.right_nbr[v]) << '\n';
   }
   write_edges(os, inst.graph);
   os << "end\n";
@@ -122,9 +138,9 @@ void write_instance(std::ostream& os, const HybridInstance& inst) {
   for (NodeIndex v = 0; v < inst.node_count(); ++v) {
     os << "node " << v << " id " << inst.ids.id_of(v);
     write_tree_fields(os, inst.labels.bal.tree, v);
-    os << " ln " << inst.labels.bal.left_nbr[v] << " rn " << inst.labels.bal.right_nbr[v]
-       << " chi " << color_code(inst.labels.color[v]) << " lvl "
-       << inst.labels.level_in[v] << '\n';
+    os << " ln " << claim(inst.labels.bal.left_nbr[v]) << " rn "
+       << claim(inst.labels.bal.right_nbr[v]) << " chi " << color_code(inst.labels.color[v])
+       << " lvl " << claim(inst.labels.level_in[v]) << '\n';
   }
   write_edges(os, inst.graph);
   os << "end\n";
@@ -155,9 +171,9 @@ Instance<Labels> read_generic(std::istream& is, const std::string& kind,
 }
 
 void read_tree_fields(Parser& p, TreeLabeling& t, NodeIndex v) {
-  t.parent[v] = p.field<Port>("p");
-  t.left[v] = p.field<Port>("lc");
-  t.right[v] = p.field<Port>("rc");
+  t.parent[v] = p.claim_field("p");
+  t.left[v] = p.claim_field("lc");
+  t.right[v] = p.claim_field("rc");
 }
 
 }  // namespace
@@ -174,8 +190,8 @@ BalancedTreeInstance read_balancedtree(std::istream& is) {
   return read_generic<BalancedTreeLabeling>(
       is, "balancedtree", [](Parser& p, BalancedTreeLabeling& l, NodeIndex v) {
         read_tree_fields(p, l.tree, v);
-        l.left_nbr[v] = p.field<Port>("ln");
-        l.right_nbr[v] = p.field<Port>("rn");
+        l.left_nbr[v] = p.claim_field("ln");
+        l.right_nbr[v] = p.claim_field("rn");
       });
 }
 
@@ -183,10 +199,10 @@ HybridInstance read_hybrid(std::istream& is) {
   return read_generic<HybridLabeling>(
       is, "hybrid", [](Parser& p, HybridLabeling& l, NodeIndex v) {
         read_tree_fields(p, l.bal.tree, v);
-        l.bal.left_nbr[v] = p.field<Port>("ln");
-        l.bal.right_nbr[v] = p.field<Port>("rn");
+        l.bal.left_nbr[v] = p.claim_field("ln");
+        l.bal.right_nbr[v] = p.claim_field("rn");
         l.color[v] = parse_color(p.field<char>("chi"));
-        l.level_in[v] = p.field<int>("lvl");
+        l.level_in[v] = p.claim_field("lvl");
       });
 }
 

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <cstdio>
@@ -20,7 +21,7 @@ static_assert(std::endian::native == std::endian::little,
               "volcal snapshots are little-endian; add byte-swapping before "
               "building this translation unit on a big-endian target");
 static_assert(sizeof(std::size_t) == 8, "CSR offsets are serialized as u64");
-static_assert(sizeof(Port) == 4, "port sections are serialized as i32");
+static_assert(sizeof(PortLabel) == 1, "claims are widened from one byte to i32");
 static_assert(sizeof(NodeIndex) == 8, "adjacency is serialized as i64");
 static_assert(sizeof(NodeId) == 8, "ids are serialized as u64");
 static_assert(sizeof(Color) == 1, "color sections are serialized as u8");
@@ -55,9 +56,30 @@ struct PendingSection {
   std::uint32_t elem_bytes;
   std::uint64_t count;
   const void* data;
+  // Label claims: `data` holds `count` PortLabel bytes, each written as i32.
+  bool widen_claims = false;
 
   std::uint64_t byte_size() const { return count * elem_bytes; }
 };
+
+// Calls emit(bytes, len) over the section's on-disk bytes, in order.  Claim
+// sections are widened through a bounded buffer (never a whole-section copy),
+// large enough that each chunk is one write(2) past stdio's buffer.
+template <typename Emit>
+void for_each_disk_chunk(const PendingSection& s, Emit&& emit) {
+  if (!s.widen_claims) {
+    emit(static_cast<const std::uint8_t*>(s.data), static_cast<std::size_t>(s.byte_size()));
+    return;
+  }
+  const auto* claims = static_cast<const PortLabel*>(s.data);
+  std::vector<std::int32_t> wide(
+      static_cast<std::size_t>(std::min<std::uint64_t>(s.count, std::uint64_t{1} << 16)));
+  for (std::uint64_t i = 0; i < s.count; i += wide.size()) {
+    const auto len = static_cast<std::size_t>(std::min<std::uint64_t>(wide.size(), s.count - i));
+    std::copy(claims + i, claims + i + len, wide.begin());
+    emit(reinterpret_cast<const std::uint8_t*>(wide.data()), len * sizeof(std::int32_t));
+  }
+}
 
 void put_u32(std::uint8_t* p, std::uint32_t v) { std::memcpy(p, &v, 4); }
 void put_u64(std::uint8_t* p, std::uint64_t v) { std::memcpy(p, &v, 8); }
@@ -115,8 +137,9 @@ void write_snapshot_file(const std::string& path, std::string_view family,
     static constexpr std::uint8_t zeros[8] = {};
     for (std::size_t i = 0; i < sections.size(); ++i) {
       checksum = fnv1a(checksum, zeros, static_cast<std::size_t>(offsets[i] - pos));
-      checksum = fnv1a(checksum, static_cast<const std::uint8_t*>(sections[i].data),
-                       static_cast<std::size_t>(sections[i].byte_size()));
+      for_each_disk_chunk(sections[i], [&](const std::uint8_t* data, std::size_t len) {
+        checksum = fnv1a(checksum, data, len);
+      });
       pos = offsets[i] + sections[i].byte_size();
     }
   }
@@ -151,14 +174,16 @@ void write_snapshot_file(const std::string& path, std::string_view family,
   }
   for (std::size_t i = 0; i < sections.size(); ++i) {
     out.pad_to(offsets[i], pos);
-    out.write(sections[i].data, static_cast<std::size_t>(sections[i].byte_size()));
+    for_each_disk_chunk(sections[i], [&](const std::uint8_t* data, std::size_t len) {
+      out.write(data, len);
+    });
     pos = offsets[i] + sections[i].byte_size();
   }
   if (std::fclose(f) != 0) fail(path, "close failed: " + std::string(std::strerror(errno)));
 }
 
-PendingSection port_section(const char* tag, const std::vector<Port>& v) {
-  return {tag, 4, v.size(), v.data()};
+PendingSection claim_section(const char* tag, const std::vector<PortLabel>& v) {
+  return {tag, 4, v.size(), v.data(), /*widen_claims=*/true};
 }
 
 }  // namespace
@@ -346,10 +371,19 @@ std::span<const NodeId> Snapshot::ids() const {
           static_cast<std::size_t>(n)};
 }
 
-std::span<const Port> Snapshot::ports(std::string_view tag) const {
+std::vector<PortLabel> Snapshot::claims(std::string_view tag) const {
   const Section& s = require(tag, 4, static_cast<std::uint64_t>(node_count_));
-  return {reinterpret_cast<const Port*>(map_->data() + s.offset),
-          static_cast<std::size_t>(s.count)};
+  // The section is 8-aligned in the mapping (checked at load).
+  const auto* wide = reinterpret_cast<const std::int32_t*>(map_->data() + s.offset);
+  const std::span<const std::int32_t> claims(wide, static_cast<std::size_t>(s.count));
+  const auto bad = std::find_if_not(claims.begin(), claims.end(),
+                                    [](std::int32_t c) { return fits_port_label(c); });
+  if (bad != claims.end()) {
+    fail(path_, "section " + std::string(tag) + " holds " + std::to_string(*bad) +
+                    " at node " + std::to_string(bad - claims.begin()) + ", outside [0, " +
+                    std::to_string(kMaxPortLabel) + "]");
+  }
+  return std::vector<PortLabel>(claims.begin(), claims.end());
 }
 
 std::span<const std::uint8_t> Snapshot::bytes(std::string_view tag) const {
@@ -362,8 +396,8 @@ std::span<const std::uint8_t> Snapshot::bytes(std::string_view tag) const {
 namespace {
 
 std::vector<PendingSection> tree_sections(const TreeLabeling& t) {
-  return {port_section("parent", t.parent), port_section("left", t.left),
-          port_section("right", t.right)};
+  return {claim_section("parent", t.parent), claim_section("left", t.left),
+          claim_section("right", t.right)};
 }
 
 PendingSection color_section(const std::vector<Color>& c) {
@@ -382,18 +416,18 @@ void write_snapshot(const std::string& path, std::string_view family,
 void write_snapshot(const std::string& path, std::string_view family,
                     const BalancedTreeInstance& inst) {
   auto sections = tree_sections(inst.labels.tree);
-  sections.push_back(port_section("leftnbr", inst.labels.left_nbr));
-  sections.push_back(port_section("rightnbr", inst.labels.right_nbr));
+  sections.push_back(claim_section("leftnbr", inst.labels.left_nbr));
+  sections.push_back(claim_section("rightnbr", inst.labels.right_nbr));
   write_snapshot_file(path, family, inst.graph, inst.ids.span(), sections);
 }
 
 void write_snapshot(const std::string& path, std::string_view family,
                     const HybridInstance& inst) {
   auto sections = tree_sections(inst.labels.bal.tree);
-  sections.push_back(port_section("leftnbr", inst.labels.bal.left_nbr));
-  sections.push_back(port_section("rightnbr", inst.labels.bal.right_nbr));
+  sections.push_back(claim_section("leftnbr", inst.labels.bal.left_nbr));
+  sections.push_back(claim_section("rightnbr", inst.labels.bal.right_nbr));
   sections.push_back(color_section(inst.labels.color));
-  sections.push_back({"levelin", 4, inst.labels.level_in.size(), inst.labels.level_in.data()});
+  sections.push_back(claim_section("levelin", inst.labels.level_in));
   write_snapshot_file(path, family, inst.graph, inst.ids.span(), sections);
 }
 
@@ -401,10 +435,10 @@ void write_snapshot(const std::string& path, std::string_view family,
                     const HHInstance& inst) {
   const HybridLabeling& h = inst.labels.hybrid;
   auto sections = tree_sections(h.bal.tree);
-  sections.push_back(port_section("leftnbr", h.bal.left_nbr));
-  sections.push_back(port_section("rightnbr", h.bal.right_nbr));
+  sections.push_back(claim_section("leftnbr", h.bal.left_nbr));
+  sections.push_back(claim_section("rightnbr", h.bal.right_nbr));
   sections.push_back(color_section(h.color));
-  sections.push_back({"levelin", 4, h.level_in.size(), h.level_in.data()});
+  sections.push_back(claim_section("levelin", h.level_in));
   sections.push_back({"side", 1, inst.labels.side.size(), inst.labels.side.data()});
   write_snapshot_file(path, family, inst.graph, inst.ids.span(), sections);
 }

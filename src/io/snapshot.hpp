@@ -42,8 +42,14 @@
 //   tree labelings    parent, left, right        i32
 //   colored (+hthc)   color                      u8
 //   balanced-tree     leftnbr, rightnbr          i32
-//   hybrid            + color, levelin           i32/u8
+//   hybrid            + color, levelin           u8/i32
 //   hh                + side                     u8
+//
+// Label claims (the i32 sections: port claims and levels) are held in memory
+// as one-byte PortLabels (labels/tree_labeling.hpp) but stay i32 on disk: the
+// writer widens each claim, and the loader narrows it with a range check,
+// rejecting a value outside [0, kMaxPortLabel] with a SnapshotError.  Unlike
+// the CSR and ID sections, label sections are copied out of the mapping.
 //
 // Versioning: readers accept exactly the versions they know; any layout
 // change bumps `version`.  Unknown section tags are ignored on load, so
@@ -130,8 +136,10 @@ class Snapshot {
   bool has_section(std::string_view tag) const { return find(tag) != nullptr; }
 
   // Typed accessors for label sections; throw SnapshotError when the tag is
-  // absent or has a different element width.
-  std::span<const Port> ports(std::string_view tag) const;          // i32 sections
+  // absent or has a different element width.  claims() copies an i32 claim
+  // section narrowed to PortLabel bytes and also throws on a claim outside
+  // [0, kMaxPortLabel].
+  std::vector<PortLabel> claims(std::string_view tag) const;        // i32 sections
   std::span<const std::uint8_t> bytes(std::string_view tag) const;  // u8 sections
 
   // Keep-alive handle for adopted views (Graph::adopt / IdAssignment::adopt).

@@ -185,6 +185,9 @@ LeafColoringInstance make_caterpillar(NodeIndex spine_len, std::uint64_t seed) {
 
 LeafColoringInstance make_noise_instance(NodeIndex n, int max_degree, std::uint64_t seed) {
   if (n < 2) throw std::invalid_argument("make_noise_instance: n >= 2");
+  if (max_degree > kMaxPortLabel) {
+    throw std::invalid_argument("make_noise_instance: max_degree > 255 overflows a claim");
+  }
   Graph::Builder builder(n);
   std::vector<int> degree(n, 0);
   // Random matching attempts; gives a bounded-degree graph, not necessarily
@@ -206,9 +209,9 @@ LeafColoringInstance make_noise_instance(NodeIndex n, int max_degree, std::uint6
   for (NodeIndex v = 0; v < n; ++v) {
     // Arbitrary port claims in [0, max_degree]; dangling values are legal
     // input and resolve to ⊥.
-    labels.tree.parent[v] = static_cast<Port>(mix64(seed, 0x11, v) % (max_degree + 1));
-    labels.tree.left[v] = static_cast<Port>(mix64(seed, 0x12, v) % (max_degree + 1));
-    labels.tree.right[v] = static_cast<Port>(mix64(seed, 0x13, v) % (max_degree + 1));
+    labels.tree.parent[v] = static_cast<PortLabel>(mix64(seed, 0x11, v) % (max_degree + 1));
+    labels.tree.left[v] = static_cast<PortLabel>(mix64(seed, 0x12, v) % (max_degree + 1));
+    labels.tree.right[v] = static_cast<PortLabel>(mix64(seed, 0x13, v) % (max_degree + 1));
     labels.color[v] = random_color(seed, 0x14, static_cast<std::uint64_t>(v), 0.5);
   }
   return {std::move(builder).build(), IdAssignment::shuffled(n, mix64(seed, 0x4d)),

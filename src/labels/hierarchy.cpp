@@ -75,15 +75,17 @@ Hierarchy::Hierarchy(const Graph& g, const TreeLabeling& l, int cap) : cap_(cap)
 }
 
 Hierarchy::Hierarchy(const Graph& g, const TreeLabeling& l, int cap,
-                     std::vector<int> input_levels)
+                     const std::vector<std::uint8_t>& input_levels)
     : cap_(cap) {
   if (cap < 2) throw std::invalid_argument("Hierarchy: cap must be >= 2");
   if (static_cast<NodeIndex>(input_levels.size()) != l.node_count()) {
     throw std::invalid_argument("Hierarchy: input level vector size mismatch");
   }
   build_links(g, l);
-  level_ = std::move(input_levels);
-  for (auto& lv : level_) lv = std::clamp(lv, 1, cap_);
+  level_.resize(input_levels.size());
+  for (std::size_t v = 0; v < input_levels.size(); ++v) {
+    level_[v] = std::clamp(static_cast<int>(input_levels[v]), 1, cap_);
+  }
   decompose_backbones();
 }
 

@@ -32,9 +32,10 @@ class Hierarchy {
   Hierarchy(const Graph& g, const TreeLabeling& l, int cap);
 
   // Build with externally supplied levels (Hybrid-THC, Def. 6.1, where
-  // level(v) is an explicit input label).  Supplied levels are clamped to
-  // [1, cap].
-  Hierarchy(const Graph& g, const TreeLabeling& l, int cap, std::vector<int> input_levels);
+  // level(v) is an explicit one-byte input label, HybridLabeling::level_in).
+  // Supplied levels are clamped to [1, cap].
+  Hierarchy(const Graph& g, const TreeLabeling& l, int cap,
+            const std::vector<std::uint8_t>& input_levels);
 
   int cap() const { return cap_; }
   NodeIndex node_count() const { return static_cast<NodeIndex>(level_.size()); }

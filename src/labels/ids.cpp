@@ -35,19 +35,23 @@ class IdBitmap {
 
 }  // namespace
 
-IdAssignment::IdAssignment(std::vector<NodeId> ids) : ids_(std::move(ids)) {
-  if (ids_.empty()) return;
-  const NodeId max_id = *std::max_element(ids_.begin(), ids_.end());
+IdAssignment::IdAssignment(std::vector<NodeId> ids) {
+  if (ids.empty()) return;
+  const NodeId max_id = *std::max_element(ids.begin(), ids.end());
   bool duplicate = false;
-  if (dense_id_space(max_id, ids_.size())) {
+  if (dense_id_space(max_id, ids.size())) {
     IdBitmap seen(max_id);
-    for (const NodeId id : ids_) duplicate |= !seen.insert(id);
+    for (const NodeId id : ids) duplicate |= !seen.insert(id);
   } else {
-    std::vector<NodeId> sorted = ids_;
+    std::vector<NodeId> sorted = ids;
     std::sort(sorted.begin(), sorted.end());
     duplicate = std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end();
   }
   if (duplicate) throw std::invalid_argument("IdAssignment: duplicate node ID");
+  auto table = std::make_shared<const std::vector<NodeId>>(std::move(ids));
+  data_ = table->data();
+  count_ = static_cast<NodeIndex>(table->size());
+  owned_ = std::move(table);
 }
 
 IdAssignment IdAssignment::sequential(NodeIndex n) {

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -17,6 +18,8 @@ using NodeId = std::uint64_t;
 class IdAssignment {
  public:
   IdAssignment() = default;
+  // Takes ownership of `ids` after checking them for duplicates.  The table
+  // is immutable from here on, so copies of the assignment share it.
   explicit IdAssignment(std::vector<NodeId> ids);
 
   // Borrow an externally owned ID array (e.g. an mmap-ed snapshot section).
@@ -24,22 +27,21 @@ class IdAssignment {
   // assignment and every copy of it.
   static IdAssignment adopt(const NodeId* ids, NodeIndex n) {
     IdAssignment a;
-    a.adopted_ = ids;
-    a.adopted_count_ = n;
+    a.data_ = ids;
+    a.count_ = n;
     return a;
   }
 
-  NodeId id_of(NodeIndex v) const { return adopted_ != nullptr ? adopted_[v] : ids_[v]; }
-  NodeIndex node_count() const {
-    return adopted_ != nullptr ? adopted_count_ : static_cast<NodeIndex>(ids_.size());
-  }
+  NodeId id_of(NodeIndex v) const { return data_[v]; }
+  NodeIndex node_count() const { return count_; }
+
+  // True when the table lives on the heap, shared by every copy; false when
+  // it is borrowed (adopt) or empty.
+  bool owned() const { return owned_ != nullptr; }
 
   // The full assignment as a borrowed span (owned vector or adopted mapping);
   // what the snapshot writer serializes.
-  std::span<const NodeId> span() const {
-    if (adopted_ != nullptr) return {adopted_, static_cast<std::size_t>(adopted_count_)};
-    return {ids_.data(), ids_.size()};
-  }
+  std::span<const NodeId> span() const { return {data_, static_cast<std::size_t>(count_)}; }
 
   // Sequential IDs 1..n (the canonical assignment used in the paper's
   // lower-bound constructions, e.g. Prop. 3.12 where the root has ID 1).
@@ -50,9 +52,9 @@ class IdAssignment {
   static IdAssignment shuffled(NodeIndex n, std::uint64_t seed, double alpha = 1.0);
 
  private:
-  std::vector<NodeId> ids_;
-  const NodeId* adopted_ = nullptr;
-  NodeIndex adopted_count_ = 0;
+  std::shared_ptr<const std::vector<NodeId>> owned_;
+  const NodeId* data_ = nullptr;  // owned_->data() or the adopted array
+  NodeIndex count_ = 0;
 };
 
 }  // namespace volcal

@@ -13,11 +13,11 @@
 namespace volcal {
 
 // Hybrid-THC input (Def. 6.1): colored balanced tree labeling + explicit
-// level(v) ∈ [k+1] per node.
+// level(v) ∈ [k+1] per node, stored in one byte like the port claims.
 struct HybridLabeling {
   BalancedTreeLabeling bal;
   std::vector<Color> color;
-  std::vector<int> level_in;
+  std::vector<std::uint8_t> level_in;
 
   explicit HybridLabeling(NodeIndex n = 0) : bal(n), color(n, Color::Red), level_in(n, 1) {}
   NodeIndex node_count() const { return bal.node_count(); }

@@ -3,12 +3,13 @@
 // this header is where a channel lands in a concrete label vector — and where
 // a channel a labeling does not carry is rejected.
 //
-// Values stay inside the labelings' claim domains: port claims are claims
-// (Def. 3.1 — nothing forces them to describe a real tree), so any
-// non-negative port value is admissible and dangling claims resolve to ⊥
-// exactly as generated inconsistencies do.  Color / side are bits; level is
-// clamped to non-negative (the solvers classify out-of-band level claims as
-// inconsistencies, same as shape-variant defects).
+// Values stay inside the labelings' claim domains.  Port claims are claims
+// (Def. 3.1 — nothing forces them to describe a real tree), so any port value
+// a one-byte label holds, [0, kMaxPortLabel], is admissible and dangling
+// claims resolve to ⊥ exactly as generated inconsistencies do.  Levels take
+// the same byte range; the solvers classify out-of-band level claims as
+// inconsistencies, same as shape-variant defects.  Color / side are bits.  A
+// value outside its channel's domain is rejected, never truncated.
 #pragma once
 
 #include <stdexcept>
@@ -35,12 +36,15 @@ inline void check_bit(LabelChannel c, int value) {
   }
 }
 
-inline void check_port_claim(LabelChannel c, int value) {
-  if (value < 0 || value > 0x7fff) {
-    throw std::invalid_argument(std::string("apply_label_update: port claim '") +
-                                label_channel_name(c) + "' out of range: " +
+// Port claims and levels: anything a PortLabel byte holds.
+inline PortLabel check_byte_claim(LabelChannel c, int value) {
+  if (!fits_port_label(value)) {
+    throw std::invalid_argument(std::string("apply_label_update: channel '") +
+                                label_channel_name(c) + "' takes values [0, " +
+                                std::to_string(kMaxPortLabel) + "], got " +
                                 std::to_string(value));
   }
+  return static_cast<PortLabel>(value);
 }
 
 // The three channels every labeling carries.  Returns false if `c` is not a
@@ -48,16 +52,13 @@ inline void check_port_claim(LabelChannel c, int value) {
 inline bool apply_tree_channel(TreeLabeling& t, NodeIndex v, LabelChannel c, int value) {
   switch (c) {
     case LabelChannel::Parent:
-      check_port_claim(c, value);
-      t.parent[static_cast<std::size_t>(v)] = static_cast<Port>(value);
+      t.parent[static_cast<std::size_t>(v)] = check_byte_claim(c, value);
       return true;
     case LabelChannel::Left:
-      check_port_claim(c, value);
-      t.left[static_cast<std::size_t>(v)] = static_cast<Port>(value);
+      t.left[static_cast<std::size_t>(v)] = check_byte_claim(c, value);
       return true;
     case LabelChannel::Right:
-      check_port_claim(c, value);
-      t.right[static_cast<std::size_t>(v)] = static_cast<Port>(value);
+      t.right[static_cast<std::size_t>(v)] = check_byte_claim(c, value);
       return true;
     default:
       return false;
@@ -69,12 +70,10 @@ inline bool apply_balanced_channel(BalancedTreeLabeling& b, NodeIndex v, LabelCh
   if (apply_tree_channel(b.tree, v, c, value)) return true;
   switch (c) {
     case LabelChannel::LeftNbr:
-      check_port_claim(c, value);
-      b.left_nbr[static_cast<std::size_t>(v)] = static_cast<Port>(value);
+      b.left_nbr[static_cast<std::size_t>(v)] = check_byte_claim(c, value);
       return true;
     case LabelChannel::RightNbr:
-      check_port_claim(c, value);
-      b.right_nbr[static_cast<std::size_t>(v)] = static_cast<Port>(value);
+      b.right_nbr[static_cast<std::size_t>(v)] = check_byte_claim(c, value);
       return true;
     default:
       return false;
@@ -106,10 +105,8 @@ inline void apply_label_update(HybridLabeling& l, const LabelUpdate& u) {
       l.color[static_cast<std::size_t>(u.node)] = static_cast<Color>(u.value);
       return;
     case LabelChannel::Level:
-      if (u.value < 0) {
-        throw std::invalid_argument("apply_label_update: negative level claim");
-      }
-      l.level_in[static_cast<std::size_t>(u.node)] = u.value;
+      l.level_in[static_cast<std::size_t>(u.node)] =
+          detail::check_byte_claim(u.channel, u.value);
       return;
     default:
       detail::throw_bad_channel(u.channel, "hybrid");

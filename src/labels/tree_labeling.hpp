@@ -22,11 +22,24 @@ enum class Color : std::uint8_t { Red, Blue };
 
 inline char color_char(Color c) { return c == Color::Red ? 'R' : 'B'; }
 
+// One stored label claim.  Every claim is a port in [Δ] ∪ {⊥} on a
+// bounded-degree graph (Def. 3.1) or a level in [k+1] (Def. 6.1), so one
+// byte holds any of them; solvers read claims as `Port` through the implicit
+// widening.  Every path that takes a claim from outside (text reader,
+// snapshot loader, label updates) rejects a value outside [0, kMaxPortLabel]
+// instead of truncating it.
+using PortLabel = std::uint8_t;
+inline constexpr int kMaxPortLabel = 255;
+
+inline bool fits_port_label(std::int64_t value) {
+  return value >= 0 && value <= kMaxPortLabel;
+}
+
 struct TreeLabeling {
   // Port labels, kNoPort (=0) encodes ⊥.  parent[v] is P(v), etc.
-  std::vector<Port> parent;
-  std::vector<Port> left;
-  std::vector<Port> right;
+  std::vector<PortLabel> parent;
+  std::vector<PortLabel> left;
+  std::vector<PortLabel> right;
 
   explicit TreeLabeling(NodeIndex n = 0)
       : parent(n, kNoPort), left(n, kNoPort), right(n, kNoPort) {}
@@ -45,8 +58,8 @@ struct ColoredTreeLabeling {
 // Balanced tree labeling (Def. 4.1): tree labeling + lateral neighbor claims.
 struct BalancedTreeLabeling {
   TreeLabeling tree;
-  std::vector<Port> left_nbr;   // LN
-  std::vector<Port> right_nbr;  // RN
+  std::vector<PortLabel> left_nbr;   // LN
+  std::vector<PortLabel> right_nbr;  // RN
 
   explicit BalancedTreeLabeling(NodeIndex n = 0)
       : tree(n), left_nbr(n, kNoPort), right_nbr(n, kNoPort) {}

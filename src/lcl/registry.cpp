@@ -179,6 +179,16 @@ MutationBatch propose_batch(const Instance<Labels>& inst, std::uint64_t seed,
 
 // --- erasure plumbing -------------------------------------------------------
 
+// The ID table of a mutated generation.  A batch never changes an ID, so an
+// owned table is shared with the parent as is: no copy, no duplicate check.
+// A borrowed one (a snapshot mapping) is copied and checked once, on the
+// first mutation, so later generations own it and the mapping can go.
+IdAssignment mutation_ids(const IdAssignment& ids) {
+  if (ids.owned()) return ids;
+  const auto table = ids.span();
+  return IdAssignment(std::vector<NodeId>(table.begin(), table.end()));
+}
+
 // Owns the instance and nothing else: the family's Problem (and any
 // Hierarchy it analyses the instance with) is built per verify() call and
 // dropped with it, since no solver reads it.  `keep` is an opaque retainer
@@ -237,15 +247,15 @@ ErasedInstance erase(std::string family, Instance<Labels>&& inst,
   }
   // Dynamic-graph hooks.  Each returned instance re-enters erase_instance, so
   // a mutation of a mutation is wired exactly like the original — and the new
-  // Held owns fresh graph/ids/labels with no retainer chained to the old one
-  // (repeated mutations must not accumulate dead generations).
+  // Held owns fresh graph/labels with no retainer chained to the old one
+  // (repeated mutations must not accumulate dead generations).  The ID table
+  // is the one thing generations share: see mutation_ids.
   impl.mutate = [held, family](const MutationBatch& batch,
                                std::vector<NodeIndex>* touched) {
     AppliedMutation applied = apply_mutation(held->inst.graph.view(), batch);
     Instance<Labels> next;
     next.graph = std::move(applied.graph);
-    const auto ids = held->inst.ids.span();
-    next.ids = IdAssignment(std::vector<NodeId>(ids.begin(), ids.end()));
+    next.ids = mutation_ids(held->inst.ids);
     next.labels = held->inst.labels;
     apply_label_updates(next.labels, batch);
     if (touched != nullptr) *touched = std::move(applied.touched);
@@ -254,8 +264,7 @@ ErasedInstance erase(std::string family, Instance<Labels>&& inst,
   impl.mutate_naive = [held, family](const MutationBatch& batch) {
     Instance<Labels> next;
     next.graph = apply_mutation_naive(held->inst.graph.view(), batch);
-    const auto ids = held->inst.ids.span();
-    next.ids = IdAssignment(std::vector<NodeId>(ids.begin(), ids.end()));
+    next.ids = mutation_ids(held->inst.ids);
     next.labels = held->inst.labels;
     apply_label_updates(next.labels, batch);
     return erase_instance(family, std::move(next));
@@ -389,15 +398,12 @@ ErasedInstance load_snapshot_instance(io::Snapshot&& snap) {
 
   // Graph + IDs stay zero-copy views into the mapping (kept alive through
   // the erased instance's retainer); label tables are small O(n) arrays and
-  // are decoded into the typed labeling vectors.
-  auto assign_ports = [&snap](std::vector<Port>& dst, const char* tag) {
-    const auto s = snap.ports(tag);
-    dst.assign(s.begin(), s.end());
-  };
-  auto assign_tree = [&](TreeLabeling& t) {
-    assign_ports(t.parent, "parent");
-    assign_ports(t.left, "left");
-    assign_ports(t.right, "right");
+  // are decoded into the typed labeling vectors, claims narrowed to bytes
+  // with a range check (Snapshot::claims).
+  auto assign_tree = [&snap](TreeLabeling& t) {
+    t.parent = snap.claims("parent");
+    t.left = snap.claims("left");
+    t.right = snap.claims("right");
   };
   auto assign_colors = [&snap](std::vector<Color>& dst) {
     const auto s = snap.bytes("color");
@@ -415,10 +421,10 @@ ErasedInstance load_snapshot_instance(io::Snapshot&& snap) {
     HHInstance inst;
     base(inst);
     assign_tree(inst.labels.hybrid.bal.tree);
-    assign_ports(inst.labels.hybrid.bal.left_nbr, "leftnbr");
-    assign_ports(inst.labels.hybrid.bal.right_nbr, "rightnbr");
+    inst.labels.hybrid.bal.left_nbr = snap.claims("leftnbr");
+    inst.labels.hybrid.bal.right_nbr = snap.claims("rightnbr");
     assign_colors(inst.labels.hybrid.color);
-    assign_ports(inst.labels.hybrid.level_in, "levelin");
+    inst.labels.hybrid.level_in = snap.claims("levelin");
     const auto side = snap.bytes("side");
     inst.labels.side.assign(side.begin(), side.end());
     return erase_instance(family, std::move(inst), std::move(keep));
@@ -427,18 +433,18 @@ ErasedInstance load_snapshot_instance(io::Snapshot&& snap) {
     HybridInstance inst;
     base(inst);
     assign_tree(inst.labels.bal.tree);
-    assign_ports(inst.labels.bal.left_nbr, "leftnbr");
-    assign_ports(inst.labels.bal.right_nbr, "rightnbr");
+    inst.labels.bal.left_nbr = snap.claims("leftnbr");
+    inst.labels.bal.right_nbr = snap.claims("rightnbr");
     assign_colors(inst.labels.color);
-    assign_ports(inst.labels.level_in, "levelin");
+    inst.labels.level_in = snap.claims("levelin");
     return erase_instance(family, std::move(inst), std::move(keep));
   }
   if (snap.has_section("leftnbr")) {
     BalancedTreeInstance inst;
     base(inst);
     assign_tree(inst.labels.tree);
-    assign_ports(inst.labels.left_nbr, "leftnbr");
-    assign_ports(inst.labels.right_nbr, "rightnbr");
+    inst.labels.left_nbr = snap.claims("leftnbr");
+    inst.labels.right_nbr = snap.claims("rightnbr");
     return erase_instance(family, std::move(inst), std::move(keep));
   }
   LeafColoringInstance inst;

@@ -99,8 +99,11 @@ class ErasedInstance {
 
   // Applies `batch` copy-on-write: this instance (and every view borrowed
   // from it) is untouched; the returned instance owns fresh graph storage
-  // under a fresh StorageToken, carries copies of the ids and the mutated
-  // labels, and is wired through the same solver/verifier closures.  If
+  // under a fresh StorageToken and the mutated labels, and is wired through
+  // the same solver/verifier closures.  IDs never change under a batch, so
+  // it shares this instance's owned ID table; a table borrowed from a
+  // snapshot mapping is copied (and checked) once, on the first mutation,
+  // so no generation keeps the mapping or an older generation alive.  If
   // `touched` is non-null it receives the batch's structural endpoints,
   // sorted — the set ViewCache::invalidate_region certifies distances
   // against.  Throws std::invalid_argument on an invalid rewire or a label

@@ -2,13 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <regex>
 #include <sstream>
+#include <string>
 
 #include "labels/generators.hpp"
 #include "lcl/algorithms/leaf_coloring_algos.hpp"
 #include "lcl/algorithms/local_view.hpp"
 #include "lcl/problems/balanced_tree.hpp"
 #include "lcl/problems/leaf_coloring.hpp"
+#include "volcal/io.hpp"
 #include "volcal/runtime.hpp"
 
 namespace volcal {
@@ -110,6 +116,69 @@ TEST(IoErrors, OutOfRangeNodeRejected) {
   std::stringstream buf(
       "volcal-instance v1 leafcoloring\nn 1\nnode 5 id 1 p 0 lc 0 rc 0 chi R\nend\n");
   EXPECT_THROW(io::read_leafcoloring(buf), std::runtime_error);
+}
+
+// Claims are stored in one byte: the reader narrows each claim field with a
+// range check, so 255 loads and 256 or -1 is rejected instead of wrapping.
+TEST(IoErrors, ClaimsOutsideOneByteRejected) {
+  auto leaf = [](const std::string& p) {
+    return "volcal-instance v1 leafcoloring\nn 1\nnode 0 id 1 p " + p +
+           " lc 0 rc 0 chi R\nend\n";
+  };
+  auto hybrid = [](const std::string& lvl) {
+    return "volcal-instance v1 hybrid\nn 1\nnode 0 id 1 p 0 lc 0 rc 0 ln 0 rn 0 chi R lvl " +
+           lvl + "\nend\n";
+  };
+  for (const char* bad : {"256", "-1"}) {
+    std::stringstream buf(leaf(bad));
+    EXPECT_THROW(io::read_leafcoloring(buf), std::runtime_error) << "p " << bad;
+  }
+  std::stringstream bad_level(hybrid("256"));
+  EXPECT_THROW(io::read_hybrid(bad_level), std::runtime_error);
+
+  std::stringstream max_claim(leaf("255"));
+  EXPECT_EQ(io::read_leafcoloring(max_claim).labels.tree.parent[0], 255);
+  std::stringstream max_level(hybrid("255"));
+  EXPECT_EQ(io::read_hybrid(max_level).labels.level_in[0], 255);
+}
+
+// Every family with a text form prints its claims as decimal integers (a
+// one-byte claim streamed as-is would come out as a char) and reads back to
+// the same text.
+TEST(IoRoundTrip, EveryFamilyPrintsNumericClaims) {
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("volcal-io-test-" + std::to_string(::getpid()) + ".txt");
+  const std::regex claim_field(" (p|lc|rc|ln|rn|lvl) (\\S+)");
+  const std::regex decimal("[0-9]+");
+  std::size_t families = 0;
+  for (const RegistryEntry& entry : ProblemRegistry::global().entries()) {
+    const ErasedInstance inst = entry.make(200, 3);
+    if (!inst.has_text_format()) continue;
+    ++families;
+    std::ostringstream text;
+    inst.save_text(text);
+    std::size_t claims = 0, nonzero = 0;
+    const std::string s = text.str();
+    for (auto it = std::sregex_iterator(s.begin(), s.end(), claim_field);
+         it != std::sregex_iterator(); ++it) {
+      ++claims;
+      const std::string value = (*it)[2].str();
+      ASSERT_TRUE(std::regex_match(value, decimal))
+          << entry.name << ": field " << (*it)[1] << " printed as '" << value << "'";
+      nonzero += value != "0";
+    }
+    EXPECT_GE(claims, 3 * static_cast<std::size_t>(inst.node_count())) << entry.name;
+    EXPECT_GT(nonzero, 0u) << entry.name;
+
+    io::save_instance(inst, path.string(), io::InstanceFormat::text);
+    const ErasedInstance back = io::load_instance(path.string());
+    std::ostringstream again;
+    back.save_text(again);
+    EXPECT_EQ(again.str(), s) << entry.name;
+  }
+  std::filesystem::remove(path);
+  EXPECT_EQ(families, 6u);  // every family but hh-2-3
 }
 
 TEST(Dot, LeafColoringRendersAllParts) {

@@ -285,7 +285,7 @@ TEST(Hierarchy, LensVariantSizes) {
 
 TEST(Hierarchy, InputLevelOverride) {
   auto inst = make_hierarchical_instance(2, 4, 3);
-  std::vector<int> levels(inst.node_count(), 2);
+  std::vector<std::uint8_t> levels(inst.node_count(), 2);
   Hierarchy h(inst.graph, inst.labels.tree, 3, levels);
   for (NodeIndex v = 0; v < inst.node_count(); ++v) EXPECT_EQ(h.level(v), 2);
 }

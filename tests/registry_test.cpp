@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <iterator>
 #include <ostream>
@@ -16,7 +17,9 @@
 #include <string>
 #include <vector>
 
+#include "io/snapshot.hpp"
 #include "labels/generators.hpp"
+#include "labels/label_mutation.hpp"
 #include "lcl/registry.hpp"
 #include "obs/trace.hpp"
 #include "runtime/parallel_runner.hpp"
@@ -337,6 +340,131 @@ TEST(Registry, HierarchicalFamiliesVerifyAfterMutation) {
       EXPECT_TRUE(same_verdict(fast.verify(out), naive.verify(out)))
           << family << " seed " << seed;
     }
+  }
+}
+
+TEST(Registry, MutatedGenerationsShareTheOwnedIdTable) {
+  // A batch never changes an ID: a generated instance's mutations share its
+  // table outright, and a snapshot-adopted table is copied once, on the first
+  // mutation, after which the generations share that copy.
+  const ErasedInstance base = ProblemRegistry::global().find("leaf-coloring")->make(300, 3);
+  const MutationBatch batch = base.propose_mutation(/*seed=*/4, /*rewires=*/2,
+                                                    /*label_updates=*/2);
+  ASSERT_FALSE(batch.empty());
+  const ErasedInstance fast = base.mutated(batch);
+  const ErasedInstance naive = base.mutated_naive(batch);
+  EXPECT_EQ(fast.ids().span().data(), base.ids().span().data());
+  EXPECT_EQ(naive.ids().span().data(), base.ids().span().data());
+
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("volcal-registry-ids-" + std::to_string(::getpid()) + ".vsnap");
+  base.save_snapshot(path.string());
+  const ErasedInstance loaded = load_snapshot_instance(io::Snapshot::load(path.string()));
+  std::filesystem::remove(path);
+  EXPECT_FALSE(loaded.ids().owned());
+  const ErasedInstance first = loaded.mutated(batch);
+  ASSERT_TRUE(first.ids().owned());
+  EXPECT_NE(first.ids().span().data(), loaded.ids().span().data());
+  const ErasedInstance second = first.mutated(batch);
+  EXPECT_EQ(second.ids().span().data(), first.ids().span().data());
+  for (NodeIndex v = 0; v < base.node_count(); ++v) {
+    ASSERT_EQ(second.ids().id_of(v), base.ids().id_of(v)) << v;
+  }
+}
+
+TEST(Registry, LabelUpdatesTakeOneByteClaims) {
+  // Port claims and levels are PortLabel bytes: 255 is the largest value a
+  // label update may write, and anything outside [0, 255] is rejected, with
+  // the labeling left as it was.
+  ColoredTreeLabeling colored(4);
+  EXPECT_THROW(apply_label_update(colored, {1, LabelChannel::Parent, 256}),
+               std::invalid_argument);
+  EXPECT_THROW(apply_label_update(colored, {1, LabelChannel::Parent, -1}),
+               std::invalid_argument);
+  EXPECT_EQ(colored.tree.parent[1], kNoPort);
+  apply_label_update(colored, {1, LabelChannel::Parent, 255});
+  EXPECT_EQ(colored.tree.parent[1], 255);
+
+  HybridLabeling hybrid(4);
+  EXPECT_THROW(apply_label_update(hybrid, {2, LabelChannel::Level, 256}),
+               std::invalid_argument);
+  EXPECT_THROW(apply_label_update(hybrid, {2, LabelChannel::Level, -1}),
+               std::invalid_argument);
+  EXPECT_THROW(apply_label_update(hybrid, {2, LabelChannel::RightNbr, 256}),
+               std::invalid_argument);
+  EXPECT_EQ(hybrid.level_in[2], 1);
+  apply_label_update(hybrid, {2, LabelChannel::Level, 255});
+  apply_label_update(hybrid, {2, LabelChannel::RightNbr, 255});
+  EXPECT_EQ(hybrid.level_in[2], 255);
+  EXPECT_EQ(hybrid.bal.right_nbr[2], 255);
+}
+
+// --- per-node footprint of the input labels ---------------------------------
+
+template <typename T>
+std::size_t vector_bytes(const std::vector<T>& v) {
+  return v.size() * sizeof(T);
+}
+std::size_t label_bytes(const TreeLabeling& t) {
+  return vector_bytes(t.parent) + vector_bytes(t.left) + vector_bytes(t.right);
+}
+std::size_t label_bytes(const ColoredTreeLabeling& l) {
+  return label_bytes(l.tree) + vector_bytes(l.color);
+}
+std::size_t label_bytes(const BalancedTreeLabeling& l) {
+  return label_bytes(l.tree) + vector_bytes(l.left_nbr) + vector_bytes(l.right_nbr);
+}
+std::size_t label_bytes(const HybridLabeling& l) {
+  return label_bytes(l.bal) + vector_bytes(l.color) + vector_bytes(l.level_in);
+}
+std::size_t label_bytes(const HHLabeling& l) {
+  return label_bytes(l.hybrid) + vector_bytes(l.side);
+}
+
+template <typename Labels>
+double label_bytes_per_node(const Instance<Labels>& inst) {
+  return static_cast<double>(label_bytes(inst.labels)) /
+         static_cast<double>(inst.node_count());
+}
+
+TEST(Registry, InputLabelsTakeOneBytePerChannel) {
+  // Every label channel is one byte wide, so the labels of each family's
+  // canonical instance cost a fixed 4/5/7/8 bytes per node (colored tree /
+  // balanced / hybrid / HH).  Widening any channel back to int fails here.
+  EXPECT_EQ(sizeof(decltype(TreeLabeling::parent)::value_type), 1u);
+  EXPECT_EQ(sizeof(decltype(TreeLabeling::left)::value_type), 1u);
+  EXPECT_EQ(sizeof(decltype(TreeLabeling::right)::value_type), 1u);
+  EXPECT_EQ(sizeof(decltype(BalancedTreeLabeling::left_nbr)::value_type), 1u);
+  EXPECT_EQ(sizeof(decltype(BalancedTreeLabeling::right_nbr)::value_type), 1u);
+  EXPECT_EQ(sizeof(decltype(HybridLabeling::color)::value_type), 1u);
+  EXPECT_EQ(sizeof(decltype(HybridLabeling::level_in)::value_type), 1u);
+  EXPECT_EQ(sizeof(decltype(HHLabeling::side)::value_type), 1u);
+
+  struct Footprint {
+    const char* family;
+    double bytes_per_node;
+    std::function<double()> canonical;
+  };
+  const auto colored_tree = [] {
+    return label_bytes_per_node(make_complete_binary_tree(6, Color::Red, Color::Blue));
+  };
+  const Footprint pins[] = {
+      {"leaf-coloring", 4, colored_tree},
+      {"ball-4", 4, colored_tree},
+      {"hthc-2", 4, [] { return label_bytes_per_node(make_hierarchical_instance(2, 8, 1)); }},
+      {"hthc-3", 4, [] { return label_bytes_per_node(make_hierarchical_instance(3, 4, 1)); }},
+      {"balanced-tree", 5, [] { return label_bytes_per_node(make_balanced_instance(6)); }},
+      {"hybrid-2", 7, [] { return label_bytes_per_node(make_hybrid_instance(2, 8, 3, 1)); }},
+      {"hh-2-3", 8, [] { return label_bytes_per_node(make_hh_instance(2, 3, 128, 1)); }},
+  };
+  for (const RegistryEntry& entry : ProblemRegistry::global().entries()) {
+    const Footprint* pin = nullptr;
+    for (const Footprint& f : pins) {
+      if (entry.name == f.family) pin = &f;
+    }
+    ASSERT_NE(pin, nullptr) << "no footprint pin for " << entry.name;
+    EXPECT_EQ(pin->canonical(), pin->bytes_per_node) << entry.name;
   }
 }
 

@@ -651,6 +651,54 @@ TEST(QueryService, MutationOfASolverDrivenTargetSkipsTheCache) {
   service.drain_and_stop();
 }
 
+// Label updates carry one-byte claims: a port claim or level outside
+// [0, 255] rejects the whole batch with the served target untouched, and 255
+// itself applies.
+TEST(QueryService, LabelUpdatesOutsideOneByteAreRejectedWhole) {
+  ServeTarget target = target_for("hybrid-2", 200, 3);
+  const std::shared_ptr<const ErasedInstance> inst = target.instance;
+  const auto n = static_cast<std::int64_t>(inst->node_count());
+  ServeConfig config;
+  config.threads = 1;
+  config.queue_capacity = static_cast<std::size_t>(n);
+  QueryService service(std::move(target), config);
+  std::uint64_t next_id = 0;
+  const auto expect_served = [&](const std::vector<int>& expected) {
+    ResultCollector results;
+    const std::uint64_t base = next_id;
+    for (std::int64_t v = 0; v < n; ++v) {
+      ASSERT_EQ(service.submit(next_id++, v, results.sink()), Admission::Accepted);
+    }
+    results.wait_for(static_cast<std::size_t>(n));
+    for (const auto& [id, r] : results.take()) {
+      const auto v = static_cast<std::size_t>(id - base);
+      ASSERT_EQ(r.label, expected[v]) << "node " << v;
+    }
+  };
+
+  for (const LabelUpdate& bad : {LabelUpdate{4, LabelChannel::Parent, 256},
+                                 LabelUpdate{4, LabelChannel::Parent, -1},
+                                 LabelUpdate{4, LabelChannel::Level, 256}}) {
+    MutationBatch batch;
+    batch.label_updates.push_back({2, LabelChannel::Level, 3});  // valid, never applied
+    batch.label_updates.push_back(bad);
+    const MutationOutcome mo = service.apply_mutations(batch);
+    EXPECT_FALSE(mo.ok) << label_channel_name(bad.channel) << " = " << bad.value;
+    EXPECT_NE(mo.error.find("[0, 255]"), std::string::npos) << mo.error;
+  }
+  EXPECT_EQ(service.counters().swaps, 0);
+  expect_served(offline_labels(*inst));
+
+  MutationBatch max_claims;
+  max_claims.label_updates.push_back({4, LabelChannel::Parent, 255});
+  max_claims.label_updates.push_back({4, LabelChannel::Level, 255});
+  const MutationOutcome mo = service.apply_mutations(max_claims);
+  EXPECT_TRUE(mo.ok) << mo.error;
+  EXPECT_EQ(service.counters().swaps, 1);
+  expect_served(offline_labels(inst->mutated(max_claims)));
+  service.drain_and_stop();
+}
+
 // --- Observability ---------------------------------------------------------
 
 // stats_json() is the payload every consumer parses (Stats frame, volcal_top,

@@ -176,6 +176,77 @@ TEST_F(SnapshotTest, RejectsCorruptHeadersAndPayloads) {
   }
 }
 
+// Overwrites claim `index` of the i32 section `tag` with `value` and restores
+// the payload checksum, so the file passes every format check and only the
+// claim's range is wrong.
+void patch_claim(std::vector<std::uint8_t>& b, const std::string& tag, std::size_t index,
+                 std::int32_t value) {
+  std::uint32_t section_count = 0;
+  std::memcpy(&section_count, b.data() + 68, 4);
+  bool found = false;
+  for (std::uint32_t i = 0; i < section_count; ++i) {
+    const std::size_t e = 104 + 32 * static_cast<std::size_t>(i);
+    const char* name = reinterpret_cast<const char*>(b.data() + e);
+    if (std::string(name, ::strnlen(name, 8)) != tag) continue;
+    std::uint32_t elem_bytes = 0;
+    std::memcpy(&elem_bytes, b.data() + e + 8, 4);
+    ASSERT_EQ(elem_bytes, 4u) << tag;
+    ASSERT_LT(index, u64_at(b, e + 16)) << tag;
+    std::memcpy(b.data() + u64_at(b, e + 24) + 4 * index, &value, 4);
+    found = true;
+  }
+  ASSERT_TRUE(found) << "no section " << tag;
+  std::uint64_t h = 14695981039346656037ull;  // FNV-1a 64 over the payload
+  const std::uint64_t begin = u64_at(b, 72);
+  for (std::uint64_t i = begin; i < begin + u64_at(b, 80); ++i) {
+    h = (h ^ b[i]) * 1099511628211ull;
+  }
+  std::memcpy(b.data() + 88, &h, 8);
+}
+
+// Label claims stay i32 on disk but are one byte in memory: the loader
+// narrows each with a range check, accepting 255 and rejecting 256 or -1
+// with a SnapshotError that names the section.
+TEST_F(SnapshotTest, ClaimsOutsideOneByteAreRejectedOnLoad) {
+  struct Case {
+    const char* family;
+    const char* tag;
+  };
+  for (const Case c : {Case{"leaf-coloring", "parent"}, Case{"balanced-tree", "rightnbr"},
+                       Case{"hybrid-2", "levelin"}}) {
+    SCOPED_TRACE(c.tag);
+    const ErasedInstance inst = ProblemRegistry::global().find(c.family)->make(64, 3);
+    const std::string file = path(std::string(c.family) + ".vsnap");
+    inst.save_snapshot(file);
+    const std::vector<std::uint8_t> good = read_file(file);
+
+    for (const std::int32_t bad : {256, -1}) {
+      std::vector<std::uint8_t> patched = good;
+      patch_claim(patched, c.tag, 5, bad);
+      write_file(file, patched);
+      EXPECT_NO_THROW((void)io::Snapshot::load(file));  // the format itself is intact
+      try {
+        (void)io::load_instance(file);
+        ADD_FAILURE() << c.tag << " = " << bad << " loaded";
+      } catch (const io::SnapshotError& e) {
+        EXPECT_NE(std::string(e.what()).find("section " + std::string(c.tag)),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+
+    // 255 fits: it loads, and saving the loaded instance writes the patched
+    // bytes back unchanged.
+    std::vector<std::uint8_t> max_claim = good;
+    patch_claim(max_claim, c.tag, 5, 255);
+    write_file(file, max_claim);
+    const ErasedInstance loaded = io::load_instance(file);
+    const std::string resaved = path("resaved.vsnap");
+    loaded.save_snapshot(resaved);
+    EXPECT_EQ(read_file(resaved), max_claim);
+  }
+}
+
 // MappedFile::map must say *what kind* of wrong target it was handed — a
 // directory, an empty file, and a sub-header file each get their own
 // diagnostic instead of a generic mmap/size error.
